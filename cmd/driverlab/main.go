@@ -127,8 +127,8 @@ coordinator's snapshot adds per-worker throughput and lease counters.
 Drivers: %s.
 Extension tables: %s.
 Backends (-backend): block (closure compilation plus basic-block fusion
-and batched port I/O, the default), compiled (per-statement closures)
-or interp (the tree-walking reference oracle). All three charge the
+and batched port I/O, the default) or interp (the tree-walking reference
+oracle); compiled is accepted as an alias for block. Both charge the
 watchdog per basic block, so step counts and every other observable are
 identical across backends.
 Front ends (campaign/bench -frontend): incremental (re-run the front
@@ -181,7 +181,7 @@ func run(args []string) error {
 	ablation := fs.Bool("ablation", false, "run the design-choice ablations")
 	sample := fs.Int("sample", 25, "percentage of driver mutants to boot (paper: 25)")
 	seed := fs.Uint64("seed", 2001, "sampling seed")
-	backendFlag := fs.String("backend", "", "hwC execution backend: block (default), compiled or interp")
+	backendFlag := fs.String("backend", "", "hwC execution backend: block (default) or interp; compiled is an alias for block")
 	fs.Usage = func() {
 		fmt.Fprint(fs.Output(), usageText())
 		fs.PrintDefaults()

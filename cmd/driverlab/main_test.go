@@ -237,7 +237,7 @@ func TestCampaignCLI(t *testing.T) {
 		return campaign.SnapshotFromRecords(st.Records())
 	}
 	s := snap(m)
-	if s.Recorded == 0 || s.Recorded != s.Ran+s.Deduped || len(s.Outcomes) == 0 {
+	if s.Recorded == 0 || s.Recorded != s.Ran || len(s.Outcomes) == 0 {
 		t.Errorf("offline snapshot inconsistent: %+v", s)
 	}
 	if s.Total == 0 || s.Recorded > s.Total {
@@ -251,7 +251,7 @@ func TestCampaignCLI(t *testing.T) {
 func TestCampaignStatusLive(t *testing.T) {
 	want := campaign.Snapshot{
 		Name: "wire", Live: true, Workers: 2, ElapsedSec: 3.5,
-		Total: 10, Recorded: 6, Ran: 5, Deduped: 1,
+		Total: 10, Recorded: 6, Ran: 5, Skipped: 1,
 		BootsPerSec: 1.5, ETASec: 2.7,
 		Outcomes: map[string]int{"Boot": 5, "Crash": 1},
 		Drivers:  []campaign.DriverStatus{{Driver: "ide_c", Selected: 10, Recorded: 6, Ran: 5}},
@@ -300,7 +300,7 @@ func TestCampaignStatusLive(t *testing.T) {
 func TestStatusFormatting(t *testing.T) {
 	s := campaign.Snapshot{
 		Name: "fmt", Live: true, Workers: 4, ElapsedSec: 61,
-		Total: 200, Recorded: 50, Ran: 40, Deduped: 7, Skipped: 3,
+		Total: 200, Recorded: 50, Ran: 47, Skipped: 3,
 		BootsPerSec: 12.5, ETASec: 12,
 		Outcomes: map[string]int{"Boot": 30, "Crash": 10, "Halt": 10},
 		Drivers:  []campaign.DriverStatus{{Driver: "ide_c", Selected: 200, Recorded: 50, Ran: 40, BootsPerSec: 12.5}},

@@ -50,12 +50,11 @@ func campaignStatus(args []string) error {
 // statusFromStore reconstructs the snapshot offline from a store's
 // records; rates, ETA and worker counts are unknowable there.
 func statusFromStore(path string) error {
-	st, err := campaign.OpenFile(path)
+	recs, err := campaign.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer st.Close()
-	snap := campaign.SnapshotFromRecords(st.Records())
+	snap := campaign.SnapshotFromRecords(recs)
 	fmt.Print(formatSnapshot(*snap, "store "+path))
 	return nil
 }
@@ -123,8 +122,8 @@ func formatSnapshot(s campaign.Snapshot, source string) string {
 				f.RejectedFrames, f.StaleRecords)
 		}
 	}
-	fmt.Fprintf(&b, "  progress: %d/%d recorded (%.1f%%) — %d booted, %d deduped, %d skipped\n",
-		s.Recorded, s.Total, s.Percent(), s.Ran, s.Deduped, s.Skipped)
+	fmt.Fprintf(&b, "  progress: %d/%d recorded (%.1f%%) — %d booted, %d skipped\n",
+		s.Recorded, s.Total, s.Percent(), s.Ran, s.Skipped)
 	if s.Panics > 0 {
 		fmt.Fprintf(&b, "  panics: %d (harness panics recovered and quarantined)\n", s.Panics)
 	}

@@ -27,8 +27,8 @@ type MemStore struct {
 	recs []Record
 }
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
+// NewMemStore returns an in-memory store holding recs.
+func NewMemStore(recs ...Record) *MemStore { return &MemStore{recs: recs} }
 
 // Records implements Store.
 func (s *MemStore) Records() []Record {
@@ -74,61 +74,112 @@ type FileStore struct {
 	recs       []Record
 }
 
-// OpenFile opens (or creates) a JSONL store at path and loads every
-// complete record already present. A file whose very first record is
-// unparseable is rejected — it is some other file, not a campaign store
-// — while garbage after at least one good record is treated as a crash
-// artefact and truncated away.
+// storeScan is what one pass over a JSONL store found: the records of
+// its longest well-formed prefix, that prefix's length in bytes, and the
+// first line that is not a complete record, if any.
+type storeScan struct {
+	recs []Record
+	good int64 // byte length of the well-formed prefix
+	// bad is the 1-based number of the first line that is not a
+	// complete record (0 when every line is one); it starts at byte
+	// offset good.
+	bad int
+	// torn reports that the bad line is the final line and lacks its
+	// trailing newline — the artefact of an interrupted append. A torn
+	// line is never parsed: its record may be cut anywhere.
+	torn bool
+	// badErr is why a complete bad line failed to decode.
+	badErr error
+}
+
+// scanStore reads JSONL records from r up to the first line that is not
+// a complete record. Blank lines are skipped. OpenFile and ReadFile
+// share it and differ only in what they do with a bad line.
+func scanStore(r io.Reader) (storeScan, error) {
+	var sc storeScan
+	br := bufio.NewReader(r)
+	for n := 1; ; n++ {
+		line, rerr := br.ReadString('\n')
+		if len(line) > 0 {
+			if trimmed := strings.TrimSpace(line); trimmed != "" {
+				if !strings.HasSuffix(line, "\n") {
+					sc.bad, sc.torn = n, true
+					return sc, nil
+				}
+				var rec Record
+				if err := json.Unmarshal([]byte(trimmed), &rec); err != nil {
+					sc.bad, sc.badErr = n, err
+					return sc, nil
+				}
+				sc.recs = append(sc.recs, rec)
+			}
+			sc.good += int64(len(line))
+		}
+		if rerr == io.EOF {
+			return sc, nil
+		}
+		if rerr != nil {
+			return sc, rerr
+		}
+	}
+}
+
+// OpenFile opens (or creates) a JSONL store at path for appending and
+// loads every complete record already present. A file whose very first
+// record is unparseable is rejected — it is some other file, not a
+// campaign store — while garbage after at least one good record is
+// treated as a crash artefact and truncated away.
 func OpenFile(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("campaign store: %w", err)
 	}
-	s := &FileStore{f: f, flushEvery: defaultFlushEvery}
-	br := bufio.NewReader(f)
-	var off int64 // end offset of the last good record
-	for {
-		line, rerr := br.ReadString('\n')
-		if len(line) > 0 {
-			complete := strings.HasSuffix(line, "\n")
-			trimmed := strings.TrimSpace(line)
-			bad := false
-			if trimmed != "" {
-				var r Record
-				if !complete || json.Unmarshal([]byte(trimmed), &r) != nil {
-					bad = true
-				} else {
-					s.recs = append(s.recs, r)
-				}
-			}
-			if bad {
-				if len(s.recs) == 0 {
-					f.Close()
-					return nil, fmt.Errorf("campaign store %s: not a campaign store (unparseable first record)", path)
-				}
-				if err := f.Truncate(off); err != nil {
-					f.Close()
-					return nil, fmt.Errorf("campaign store %s: truncate crash artefact: %w", path, err)
-				}
-				break
-			}
-			off += int64(len(line))
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			f.Close()
-			return nil, fmt.Errorf("campaign store %s: %w", path, rerr)
-		}
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
+	sc, err := scanStore(f)
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("campaign store %s: %w", path, err)
 	}
+	if sc.bad > 0 {
+		if len(sc.recs) == 0 {
+			f.Close()
+			return nil, fmt.Errorf("campaign store %s: not a campaign store (unparseable first record)", path)
+		}
+		if err := f.Truncate(sc.good); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("campaign store %s: truncate crash artefact: %w", path, err)
+		}
+	}
+	if _, err := f.Seek(sc.good, io.SeekStart); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign store %s: %w", path, err)
+	}
+	s := &FileStore{f: f, flushEvery: defaultFlushEvery, recs: sc.recs}
 	s.w = bufio.NewWriter(f)
 	s.enc = json.NewEncoder(s.w)
 	return s, nil
+}
+
+// ReadFile loads every record of the JSONL store at path without
+// modifying it: the read side of status, report and merge. It never
+// creates the file. A torn final line (no trailing newline, the crash
+// artefact) is ignored, as a resume would; any other malformed line is
+// an error naming its line number and byte offset, and the file is left
+// for the operator to inspect.
+func ReadFile(path string) ([]Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("campaign store: %w", err)
+	}
+	defer f.Close()
+	sc, err := scanStore(f)
+	if err != nil {
+		return nil, fmt.Errorf("campaign store %s: %w", path, err)
+	}
+	if sc.bad > 0 && !sc.torn {
+		return nil, fmt.Errorf("campaign store %s: malformed record at line %d (byte offset %d): %v",
+			path, sc.bad, sc.good, sc.badErr)
+	}
+	return sc.recs, nil
 }
 
 // Records implements Store.

@@ -124,8 +124,7 @@ type Proc struct {
 	stats   BlockStats
 }
 
-// Stats reports what the block-fusion pass produced for this program
-// (zero-valued under plain Compile except the I/O-site counters).
+// Stats reports what the block-fusion pass produced for this program.
 func (p *Proc) Stats() BlockStats { return p.stats }
 
 // initStep is one global-variable initialisation.
@@ -194,31 +193,15 @@ func (s BlockStats) sub(o BlockStats) BlockStats {
 // initialisers, whose faults are insmod-time boot outcomes, not compile
 // errors. Compile itself fails only with ErrUnsupported.
 //
-// Compile emits one closure per statement — the "compiled" backend.
-// CompileBlocks additionally fuses straight-line statement runs into
-// basic-block closures — the "block" backend, the campaign default.
-// Both charge the watchdog per basic block (see cinterp.SimpleStmt for
-// the shared fusion rule), so step counts are identical across every
-// backend.
+// Maximal runs of simple statements compile to single basic-block
+// closures, charging the watchdog once per block exactly as the
+// interpreter does (see cinterp.SimpleStmt for the shared fusion rule),
+// so step counts are identical across backends; port-I/O sites batch
+// consecutive accesses to the same device through one cached hw.Bus
+// resolution.
 func Compile(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 	stubs *codegen.Stubs, m *Mach) (*Proc, error) {
-	return compile(prog, kern, bus, stubs, m, false)
-}
-
-// CompileBlocks is Compile with the block-fusion pass enabled: maximal
-// runs of simple statements compile to single basic-block closures
-// (same one-charge-per-block watchdog accounting, fewer closure
-// dispatches), and port-I/O sites batch consecutive accesses to the
-// same device through one cached hw.Bus resolution.
-func CompileBlocks(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach) (*Proc, error) {
-	return compile(prog, kern, bus, stubs, m, true)
-}
-
-func compile(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach, fuse bool) (*Proc, error) {
 	c := newCompiler(prog, stubs)
-	c.fuse = fuse
 	c.bus = bus
 	c.registerDecls()
 	inits := c.compileInits(nil)

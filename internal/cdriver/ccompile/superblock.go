@@ -373,8 +373,8 @@ func (c *compiler) predOf(x cast.Expr) predFn {
 		if f == nil {
 			return nil
 		}
-		xo, xok := c.fuseOperand(x.X)
-		yo, yok := c.fuseOperand(x.Y)
+		xo, xok := c.inlineOperand(x.X)
+		yo, yok := c.inlineOperand(x.Y)
 		if xok && yok {
 			return func(st *state, fr []Value) (bool, error) {
 				a, b := xo.v, yo.v

@@ -142,9 +142,9 @@ int sum(int n) {
 `
 	prog, env := parseChecked(t, src)
 	r := newRig()
-	in, err := ccompile.NewIncrBlocks(prog, r.kern, r.bus, nil, nil)
+	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 	if err != nil {
-		t.Fatalf("NewIncrBlocks: %v", err)
+		t.Fatalf("NewIncr: %v", err)
 	}
 	idx := declIdx(t, prog, "sum")
 	// The cmut-style predicate mutation: relational operator flipped to

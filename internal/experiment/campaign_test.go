@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/fleet"
+	"repro/internal/cdriver/ctoken"
+	"repro/internal/drivers"
 )
 
 // assertCampaignDeterminism runs the determinism protocol every
@@ -17,7 +19,7 @@ import (
 // to byte-identical tables whether the campaign runs serially, sharded
 // into separate stores and merged, killed halfway and resumed from the
 // JSONL store, or executed on the tree-walking oracle instead of the
-// compiled backend. The serial run's aggregated tables are returned
+// block backend. The serial run's aggregated tables are returned
 // for workload-specific assertions.
 func assertCampaignDeterminism(t *testing.T, spec campaign.Spec) map[string]*campaign.TableData {
 	t.Helper()
@@ -178,14 +180,14 @@ func TestMachineReuseMatchesFreshBoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	selected := selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: 1, Seed: 3})
-	m, err := NewMachine()
+	m, err := NewRig("ide_c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range selected {
 		mut := p.res.Mutants[id]
 		input := BootInput{Tokens: p.res.Apply(mut), Budget: ExperimentBudget}
-		fresh, err := Boot(input)
+		fresh, err := BootDriver("ide_c", input)
 		if err != nil {
 			t.Fatalf("mutant %d: fresh boot: %v", id, err)
 		}
@@ -334,5 +336,41 @@ func TestCampaignMatrixCrashResume(t *testing.T) {
 	}
 	if got := render(resumed); got != want {
 		t.Errorf("resumed matrix tables differ from uninterrupted run:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+}
+
+// TestEnumerationHasNoDuplicateStreams pins the premise that lets every
+// enumerated mutant boot exactly once: all mutants share the pristine
+// stream and differ in one token, so (position, replacement kind,
+// replacement text) identifies a mutated stream, and no driver's
+// enumeration yields the same triple twice. If enumeration ever produced
+// duplicate streams again, campaigns would silently boot identical
+// programs; this fails instead.
+func TestEnumerationHasNoDuplicateStreams(t *testing.T) {
+	type streamKey struct {
+		idx  int
+		kind ctoken.Kind
+		lit  string
+	}
+	wl := NewWorkload().(*workload)
+	total := 0
+	for _, driver := range drivers.Names() {
+		p, err := wl.plan(driver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[streamKey]int, len(p.res.Mutants))
+		for id, m := range p.res.Mutants {
+			key := streamKey{m.TokenIndex, m.Replacement.Kind, m.Replacement.Lit}
+			if first, dup := seen[key]; dup {
+				t.Errorf("%s: mutants %d and %d produce the same stream (%s)",
+					driver, first, id, m.Description)
+			}
+			seen[key] = id
+		}
+		total += len(p.res.Mutants)
+	}
+	if total != 38203 {
+		t.Errorf("corpus enumerates %d mutants, want 38203", total)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"repro/internal/cdriver/cincr"
 )
 
-// The differential oracle: the compiled backend and the incremental
-// front end exist for throughput, the tree-walking interpreter over a
-// full per-mutant recompile for trust. These tests boot generated
-// mutants on every backend × front-end combination — through the same
+// The differential oracle: the block backend and the incremental front
+// end exist for throughput, the tree-walking interpreter over a full
+// per-mutant recompile for trust. These tests boot generated mutants on
+// every backend × front-end combination — through the same
 // per-worker machine-reuse pattern the campaign engine uses — and
 // require identical observable results: compile-time detection, outcome
 // class, terminating error text, console log, covered-line set,
@@ -121,7 +121,8 @@ func diffOne(t *testing.T, driver string, p *driverPlan, id int, interp, comp *B
 // interpreter over a full recompile (the reference semantics). The
 // busmouse, bus-master and CDevil IDE/NE2000/Permedia drivers run their
 // full enumerations; the C IDE, C NE2000 and C Permedia drivers (7600+,
-// 13800+ and 5100+ mutants, the slowest boots) run seeded samples.
+// 13800+ and 5100+ mutants, the slowest boots) run seeded samples. Each
+// plan owns its rigs, so the plans run as parallel subtests.
 func TestDifferentialOracle(t *testing.T) {
 	plans := []struct {
 		driver   string
@@ -156,6 +157,7 @@ func TestDifferentialOracle(t *testing.T) {
 			name += "@" + tc.scenario
 		}
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			p, err := wl.plan(tc.driver)
 			if err != nil {
 				t.Fatal(err)
@@ -170,8 +172,6 @@ func TestDifferentialOracle(t *testing.T) {
 				name string
 				rig  *diffRig
 			}{
-				{"compiled/full", &diffRig{backend: BackendCompiled, scenario: tc.scenario}},
-				{"compiled/incremental", &diffRig{backend: BackendCompiled, incremental: true, scenario: tc.scenario}},
 				{"block/full", &diffRig{backend: BackendBlock, scenario: tc.scenario}},
 				{"block/incremental", &diffRig{backend: BackendBlock, incremental: true, scenario: tc.scenario}},
 				{"interp/incremental", &diffRig{backend: BackendInterp, incremental: true, scenario: tc.scenario}},
@@ -180,7 +180,7 @@ func TestDifferentialOracle(t *testing.T) {
 				rb := ref.boot(t, p, tc.driver, id)
 				// The reference result aliases pooled buffers that the next
 				// boot on the same rig overwrites; the variants use separate
-				// rigs, but the reference must survive all three comparisons.
+				// rigs, but the reference must survive every comparison.
 				rb.Console = append([]string(nil), rb.Console...)
 				if rb.Coverage != nil {
 					rb.Coverage = rb.Coverage.Clone()
@@ -215,12 +215,7 @@ func TestDifferentialTables(t *testing.T) {
 		{"ide_c", "Table 3"},
 		{"ide_devil", "Table 4"},
 	} {
-		opts := MutationOptions{SamplePct: sample, Seed: 2001, Backend: BackendCompiled}
-		compiled, err := DriverMutation(tc.driver, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Backend = BackendBlock
+		opts := MutationOptions{SamplePct: sample, Seed: 2001, Backend: BackendBlock}
 		block, err := DriverMutation(tc.driver, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -230,12 +225,8 @@ func TestDifferentialTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct := FormatDriverTable(compiled, tc.caption)
 		bt := FormatDriverTable(block, tc.caption)
 		it := FormatDriverTable(interp, tc.caption)
-		if ct != it {
-			t.Errorf("%s differs between backends:\ncompiled:\n%s\ninterp:\n%s", tc.caption, ct, it)
-		}
 		if bt != it {
 			t.Errorf("%s differs between backends:\nblock:\n%s\ninterp:\n%s", tc.caption, bt, it)
 		}

@@ -20,7 +20,7 @@ func TestCleanMouseBoot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := BootMouse(BootInput{Tokens: toks, Devil: src.Devil})
+			res, err := BootDriver(name, BootInput{Tokens: toks, Devil: src.Devil})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,18 +41,18 @@ func TestCleanMouseBoot(t *testing.T) {
 	}
 }
 
-// TestMouseMutationSmoke runs a small sample of the extension experiment
+// TestBusmouseMutationSmoke runs a small sample of the extension experiment
 // and checks the Devil-vs-C shape carries over to the second driver pair.
-func TestMouseMutationSmoke(t *testing.T) {
+func TestBusmouseMutationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation smoke test is not short")
 	}
 	opts := MutationOptions{SamplePct: 20, Seed: 7}
-	c, err := MouseMutation("busmouse_c", opts)
+	c, err := DriverMutation("busmouse_c", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := MouseMutation("busmouse_devil", opts)
+	d, err := DriverMutation("busmouse_devil", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

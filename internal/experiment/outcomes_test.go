@@ -44,7 +44,7 @@ func mutateToken(t *testing.T, driver, old, new string, kind ctoken.Kind, nth in
 
 func bootTokens(t *testing.T, toks []ctoken.Token, isDevil bool) *BootResult {
 	t.Helper()
-	res, err := Boot(BootInput{Tokens: toks, Devil: isDevil, Budget: ExperimentBudget})
+	res, err := BootDriver("ide_c", BootInput{Tokens: toks, Devil: isDevil, Budget: ExperimentBudget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ type MutationOptions struct {
 	// ForcePermissive downgrades CDevil type checking to plain C rules
 	// (ablation: how much of Table 4 comes from strict typing alone).
 	ForcePermissive bool
-	// Backend selects the hwC execution engine (compiled when empty).
+	// Backend selects the hwC execution engine (block when empty).
 	Backend Backend
 }
 

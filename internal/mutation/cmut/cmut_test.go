@@ -246,9 +246,11 @@ func TestEnumerateRejectsBrokenSource(t *testing.T) {
 	}
 }
 
-// TestStreamKeysIdentifyMutatedStreams: equal keys exactly for equal
-// (position, replacement) pairs — the identity of a mutated stream —
-// and DedupKeys marks only keys shared by at least two mutants.
+// TestStreamKeysIdentifyMutatedStreams: a mutant's (position,
+// replacement kind, replacement text) triple is the identity of its
+// mutated stream — Apply changes exactly that token — and the
+// enumeration never yields two mutants with the same triple, so no two
+// mutants boot the same program.
 func TestStreamKeysIdentifyMutatedStreams(t *testing.T) {
 	toks, _ := clexer.Lex("//@hw\nint f(void) { return 10 + 2; }\n//@endhw\n")
 	res, err := cmut.Enumerate(toks, cmut.Options{})
@@ -258,39 +260,25 @@ func TestStreamKeysIdentifyMutatedStreams(t *testing.T) {
 	if len(res.Mutants) < 2 {
 		t.Fatalf("expected several literal mutants, got %d", len(res.Mutants))
 	}
-	seen := make(map[string]int)
+	type streamKey struct {
+		idx  int
+		kind ctoken.Kind
+		lit  string
+	}
+	seen := make(map[streamKey]int)
 	for i, m := range res.Mutants {
-		key := res.StreamKey(m)
+		key := streamKey{m.TokenIndex, m.Replacement.Kind, m.Replacement.Lit}
 		if j, dup := seen[key]; dup {
-			a, b := res.Mutants[j], m
-			if a.TokenIndex != b.TokenIndex || a.Replacement.Kind != b.Replacement.Kind ||
-				a.Replacement.Lit != b.Replacement.Lit {
-				t.Fatalf("mutants %d and %d share a key but differ in stream", j, i)
-			}
+			t.Errorf("mutants %d and %d produce the same stream", j, i)
 		}
 		seen[key] = i
-	}
-	// The enumeration pre-deduplicates literal edits per site, so every
-	// stream is unique and DedupKeys must be all-empty.
-	for i, k := range res.DedupKeys() {
-		if k != "" {
-			t.Errorf("mutant %d marked as duplicate in a dedup-free enumeration", i)
+		out := res.Apply(m)
+		for k := range out {
+			changed := out[k].Kind != res.Tokens[k].Kind || out[k].Lit != res.Tokens[k].Lit
+			if changed != (k == m.TokenIndex) {
+				t.Errorf("mutant %d: token %d changed=%v, want a change only at %d",
+					i, k, changed, m.TokenIndex)
+			}
 		}
-	}
-
-	// Synthetic duplicates: two operators yielding the same stream.
-	dup := *res
-	dup.Mutants = append([]cmut.Mutant(nil), res.Mutants[:2]...)
-	dup.Mutants = append(dup.Mutants, cmut.Mutant{
-		ID: 2, SiteIndex: dup.Mutants[0].SiteIndex,
-		TokenIndex:  dup.Mutants[0].TokenIndex,
-		Replacement: dup.Mutants[0].Replacement,
-	})
-	keys := dup.DedupKeys()
-	if keys[0] == "" || keys[2] == "" || keys[0] != keys[2] {
-		t.Errorf("identical streams not keyed together: %q vs %q", keys[0], keys[2])
-	}
-	if keys[1] != "" {
-		t.Errorf("unique stream keyed as duplicate: %q", keys[1])
 	}
 }
