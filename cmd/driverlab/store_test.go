@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -74,5 +76,44 @@ func TestReadOnlyCommandsCreateNoStore(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("failed merge created %s", out)
+	}
+}
+
+// TestResumeKeepsCorruptStore: resume opens its store for appending,
+// yet a corrupt middle record is not a crash artefact to truncate. The
+// resume fails naming the line and byte offset, and the store — with
+// the good records after the corrupt one — stays byte-identical.
+func TestResumeKeepsCorruptStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.jsonl")
+	if err := run([]string{"campaign", "run", "-store", path, "-drivers", "busmouse_devil",
+		"-sample", "50", "-seed", "3", "-shards", "2", "-shard", "0", "-quiet"}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(good, []byte("\n"))
+	if len(lines) < 8 {
+		t.Fatalf("store has %d lines, want a middle record to corrupt", len(lines))
+	}
+	offset := len(bytes.Join(lines[:5], nil))
+	lines[5] = []byte("{\"kind\":\"result\",\"driver\":\n")
+	corrupt := bytes.Join(lines, nil)
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = run([]string{"campaign", "resume", "-store", path, "-quiet"})
+	want := fmt.Sprintf("malformed record at line 6 (byte offset %d)", offset)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume over a corrupt middle record: err = %v, want it to name %q", err, want)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, corrupt) {
+		t.Fatalf("resume modified the store: %d bytes before, %d after", len(corrupt), len(after))
 	}
 }

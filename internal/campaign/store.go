@@ -124,11 +124,20 @@ func scanStore(r io.Reader) (storeScan, error) {
 	}
 }
 
+// malformed reports a complete bad line by line number and byte offset.
+func (sc *storeScan) malformed(path string) error {
+	return fmt.Errorf("campaign store %s: malformed record at line %d (byte offset %d): %v",
+		path, sc.bad, sc.good, sc.badErr)
+}
+
 // OpenFile opens (or creates) a JSONL store at path for appending and
 // loads every complete record already present. A file whose very first
 // record is unparseable is rejected — it is some other file, not a
-// campaign store — while garbage after at least one good record is
-// treated as a crash artefact and truncated away.
+// campaign store. After at least one good record, only a torn final
+// line (no trailing newline, the artefact of an interrupted append) is
+// truncated away; any other malformed line is an error naming its line
+// number and byte offset, and the file is left as it was, so good
+// records after a corrupt one are never lost.
 func OpenFile(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -143,6 +152,10 @@ func OpenFile(path string) (*FileStore, error) {
 		if len(sc.recs) == 0 {
 			f.Close()
 			return nil, fmt.Errorf("campaign store %s: not a campaign store (unparseable first record)", path)
+		}
+		if !sc.torn {
+			f.Close()
+			return nil, sc.malformed(path)
 		}
 		if err := f.Truncate(sc.good); err != nil {
 			f.Close()
@@ -176,8 +189,7 @@ func ReadFile(path string) ([]Record, error) {
 		return nil, fmt.Errorf("campaign store %s: %w", path, err)
 	}
 	if sc.bad > 0 && !sc.torn {
-		return nil, fmt.Errorf("campaign store %s: malformed record at line %d (byte offset %d): %v",
-			path, sc.bad, sc.good, sc.badErr)
+		return nil, sc.malformed(path)
 	}
 	return sc.recs, nil
 }

@@ -1,6 +1,6 @@
-// Package ccompile is the compiled hwC execution backend: a one-pass
-// compiler from the checked AST to closure form, built for the campaign
-// hot path where tens of thousands of mutants boot per run.
+// Package ccompile is the block execution backend: a one-pass compiler
+// from the checked AST to closure form, built for the campaign hot path
+// where tens of thousands of mutants boot per run.
 //
 // The tree-walking interpreter (cinterp) resolves every name through
 // string-keyed map scope chains, scans the program's function list on
@@ -20,14 +20,22 @@
 //     argument buffers) in a Mach that one campaign worker reuses across
 //     every boot.
 //
+// Every statement lowers once (see lower): a simple statement to an
+// error-only core, a control statement to a flow-carrying body, each
+// beside its source line. Fused basic blocks, statement position and
+// the careful and lean iterations of loop superblocks (superblock.go)
+// all run those same cores and bodies; they differ only in where the
+// watchdog charges and statement-line coverage adds go.
+//
 // cinterp remains the reference oracle: the compiled closures replicate
 // its observable semantics exactly — evaluation order, coverage points,
 // watchdog step charging, truncation, and error construction — and the
 // experiment suite's differential test boots every mutant on both
 // backends and requires identical results. Program shapes the compiler
 // cannot prove it executes identically (today: a macro expansion cycle,
-// creatable only by exotic mutants) are rejected with ErrUnsupported so
-// the caller can fall back to the interpreter.
+// creatable only by exotic mutants, or an assignment operator the parser
+// never produces) are rejected with ErrUnsupported so the caller can
+// fall back to the interpreter.
 package ccompile
 
 import (
@@ -48,7 +56,7 @@ type Value = cinterp.Value
 
 // ErrUnsupported marks a program shape the compiler cannot prove it
 // executes identically to the interpreter; callers fall back to cinterp.
-var ErrUnsupported = errors.New("program shape not supported by the compiled backend")
+var ErrUnsupported = errors.New("program shape not supported by the block backend")
 
 // maxCallDepth mirrors the interpreter's recursion bound.
 const maxCallDepth = 64
@@ -91,6 +99,13 @@ type exprFn func(st *state, fr []Value) (Value, error)
 
 // stmtFn executes one compiled statement.
 type stmtFn func(st *state, fr []Value) (flow, Value, error)
+
+// coreFn is one compiled simple statement (a declaration, expression,
+// assignment or increment) without its watchdog charge and without its
+// statement-line coverage add: error-only, no flow or value traffic.
+// Fused runs, statement position and both superblock iteration modes
+// run the same cores (see lower).
+type coreFn func(st *state, fr []Value) error
 
 // cfunc is one compiled driver function.
 type cfunc struct {
@@ -157,7 +172,7 @@ type BlockStats struct {
 	FallbackIO int64
 	// Superblocks is the number of while/for loops compiled to loop
 	// superblocks: the whole loop runs inside one closure with a
-	// specialized bool predicate and lean error-only statement cores,
+	// specialized bool predicate over the statements' shared cores,
 	// charging the watchdog in per-iteration batches.
 	Superblocks int64
 	// SuperStmts is the number of body statements inside those

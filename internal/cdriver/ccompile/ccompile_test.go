@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cdriver/cast"
 	"repro/internal/cdriver/ccheck"
 	"repro/internal/cdriver/ccompile"
 	"repro/internal/cdriver/ccov"
 	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/cparser"
+	"repro/internal/cdriver/ctoken"
 	"repro/internal/cdriver/ctypes"
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -36,9 +38,9 @@ type outcome struct {
 	steps   int64
 }
 
-// runBoth executes fn on the interpreter and the compiled (block-fused)
-// backend and requires identical observable results, returning the
-// (shared) outcome.
+// runBoth executes fn on the interpreter and the block backend and
+// requires identical observable results, returning the (shared)
+// outcome.
 func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
 	t.Helper()
 	prog, perrs := cparser.Parse(src)
@@ -49,11 +51,22 @@ func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
 	if cerrs := ccheck.Check(prog, env); len(cerrs) != 0 {
 		t.Fatalf("check: %v", cerrs)
 	}
+	return compareBackends(t, prog, env, 0, fn, args...)
+}
 
-	interpRig := newRig()
+// compareBackends is runBoth's comparison over a checked program: init
+// and call errors, value, console, covered lines and step count must
+// match. A positive budget replaces the kernels' default step budget.
+func compareBackends(t *testing.T, prog *cast.Program, env *ctypes.Env, budget int64,
+	fn string, args ...cinterp.Value) outcome {
+	t.Helper()
+	interpRig, compRig := newRig(), newRig()
+	if budget > 0 {
+		interpRig.kern.SetBudget(budget)
+		compRig.kern.SetBudget(budget)
+	}
 	in, ierr := cinterp.New(prog, env, interpRig.kern, interpRig.bus, nil)
 
-	compRig := newRig()
 	p, cerr := ccompile.Compile(prog, compRig.kern, compRig.bus, nil, nil)
 	if cerr != nil {
 		t.Fatalf("compile: %v", cerr)
@@ -177,6 +190,23 @@ int f(void) {
 	}
 }
 
+func TestForScopeHoldsDeclarationBody(t *testing.T) {
+	// A for statement opens a scope whether or not it has an init, so a
+	// declaration as its body shadows the outer variable only inside
+	// the loop.
+	src := `
+int f(int n) {
+	int y = 1;
+	int z = 2;
+	for (; n > 0; n--) int y = 7;
+	for (int i = 0; i < 3; i++) int z = i;
+	return y * 10 + z;
+}`
+	if got := callInt(t, src, "f", cinterp.IntValue(1)); got != 12 {
+		t.Errorf("f(1) = %d, want 12", got)
+	}
+}
+
 func TestSwitchSemantics(t *testing.T) {
 	src := `
 int f(int x) {
@@ -294,6 +324,22 @@ int f(void) { return A; }`
 	_, err := ccompile.Compile(prog, r.kern, r.bus, nil, nil)
 	if !errors.Is(err, ccompile.ErrUnsupported) {
 		t.Fatalf("cyclic macro: err = %v, want ErrUnsupported", err)
+	}
+}
+
+func TestUnknownAssignOperatorIsUnsupported(t *testing.T) {
+	// The parser admits only the eight assignment operators; an AST
+	// carrying any other one must make compilation fail with
+	// ErrUnsupported, so the interpreter's fault stays the reference.
+	prog, perrs := cparser.Parse(`int f(void) { int x = 1; x += 2; return x; }`)
+	if len(perrs) != 0 {
+		t.Fatalf("parse: %v", perrs)
+	}
+	body := prog.Decls[0].(*cast.FuncDecl).Body.Stmts
+	body[1].(*cast.AssignStmt).Op = ctoken.Mul
+	r := newRig()
+	if _, err := ccompile.Compile(prog, r.kern, r.bus, nil, nil); !errors.Is(err, ccompile.ErrUnsupported) {
+		t.Fatalf("assignment operator %s: err = %v, want ErrUnsupported", ctoken.Mul, err)
 	}
 }
 

@@ -136,163 +136,270 @@ func (c *compiler) blockBody(b *cast.Block) []stmtFn {
 	return out
 }
 
-// chargeWrap prefixes a compiled statement with one watchdog charge.
-func chargeWrap(f stmtFn) stmtFn {
-	return func(st *state, fr []Value) (flow, Value, error) {
-		if err := st.kern.Step(); err != nil {
-			return flowNormal, voidValue, err
-		}
-		return f(st, fr)
-	}
-}
-
-// fuseRun folds a maximal run of simple statements into one basic-block
-// closure: a single watchdog charge at entry, then the statement bodies
-// in order. A failing charge executes (and covers) none of the run, and
-// control flow (break/continue/return) propagates out of the block —
-// exactly the interpreter's execSeq semantics.
-func fuseRun(run []stmtFn) stmtFn {
-	if len(run) == 1 {
-		return chargeWrap(run[0])
-	}
-	body := make([]stmtFn, len(run))
-	copy(body, run)
-	return func(st *state, fr []Value) (flow, Value, error) {
-		if err := st.kern.Step(); err != nil {
-			return flowNormal, voidValue, err
-		}
-		for _, f := range body {
-			fl, v, err := f(st, fr)
-			if err != nil || fl != flowNormal {
-				return fl, v, err
-			}
-		}
-		return flowNormal, voidValue, nil
-	}
-}
-
 // seq compiles a statement list with basic-block step accounting: one
 // watchdog charge at the head of every maximal run of simple statements
 // (cinterp.SimpleStmt is the shared fusion rule), one per control-flow
-// statement. Each run additionally collapses into a single closure.
+// statement.
 func (c *compiler) seq(stmts []cast.Stmt) []stmtFn {
 	var out []stmtFn
-	var run []stmtFn
-	flush := func() {
-		if len(run) == 0 {
-			return
+	for i := 0; i < len(stmts); {
+		j := i
+		for j < len(stmts) && cinterp.SimpleStmt(stmts[j]) {
+			j++
 		}
-		c.stats.Blocks++
-		c.stats.FusedStmts += int64(len(run))
-		out = append(out, fuseRun(run))
-		run = run[:0]
-	}
-	for _, s := range stmts {
-		if cinterp.SimpleStmt(s) {
-			run = append(run, c.stmtBody(s))
+		if j == i {
+			out = append(out, c.stmt(stmts[i]))
+			i++
 			continue
 		}
-		flush()
-		out = append(out, chargeWrap(c.stmtBody(s)))
+		out = append(out, c.fuse(stmts[i:j]))
+		i = j
 	}
-	flush()
 	return out
 }
 
-// stmt compiles one statement for statement position (a loop body, an
-// if branch, a for init/post), with the interpreter's execStmt
-// semantics: one watchdog step, then the body.
-func (c *compiler) stmt(s cast.Stmt) stmtFn {
-	return chargeWrap(c.stmtBody(s))
+// run is a compiled maximal run of simple statements: each statement's
+// core beside the source line it covers. Careful execution covers
+// lines[i] before running cores[i]; lean superblock iterations run the
+// cores alone.
+type run struct {
+	lines []int
+	cores []coreFn
 }
 
-// stmtBody compiles a statement's behaviour without the watchdog
-// charge: the statement's line is covered, then the node-specific
-// behaviour runs. The caller (seq or stmt) decides run-head vs
-// per-statement charging.
-func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
-	line := c.line(s.Pos())
-	// Every case below emits a closure that covers line before its
-	// sub-expressions run, so line dominates them for coverage purposes.
+func (r *run) add(line int, core coreFn) {
+	r.lines = append(r.lines, line)
+	r.cores = append(r.cores, core)
+}
+
+// fuse folds a maximal run of simple statements into one basic-block
+// closure: a single watchdog charge at entry, then each statement's line
+// and core in order. A failing charge executes (and covers) none of the
+// run. A jump (break, continue, return) ends the run and carries its
+// flow out of the block; statements after it compile but can never
+// run — exactly the interpreter's execSeq.
+func (c *compiler) fuse(stmts []cast.Stmt) stmtFn {
+	c.stats.Blocks++
+	c.stats.FusedStmts += int64(len(stmts))
+	r := run{lines: make([]int, 0, len(stmts)), cores: make([]coreFn, 0, len(stmts))}
+	var jumpLine int
+	var jump stmtFn
+	for _, s := range stmts {
+		line, core, body := c.lower(s)
+		switch {
+		case jump != nil:
+		case core != nil:
+			r.add(line, core)
+		default:
+			jumpLine, jump = line, body
+		}
+	}
+	return func(st *state, fr []Value) (flow, Value, error) {
+		if err := st.kern.Step(); err != nil {
+			return flowNormal, voidValue, err
+		}
+		for i, f := range r.cores {
+			st.cov.Add(r.lines[i])
+			if err := f(st, fr); err != nil {
+				return flowNormal, voidValue, err
+			}
+		}
+		if jump == nil {
+			return flowNormal, voidValue, nil
+		}
+		st.cov.Add(jumpLine)
+		return jump(st, fr)
+	}
+}
+
+// stmt compiles one statement for statement position (a loop body, an
+// if branch, a for init/post, a control statement in a sequence), with
+// the interpreter's execStmt semantics: one watchdog step, the
+// statement's line, then its core or body.
+func (c *compiler) stmt(s cast.Stmt) stmtFn {
+	line, core, body := c.lower(s)
+	if core != nil {
+		return func(st *state, fr []Value) (flow, Value, error) {
+			if err := st.kern.Step(); err != nil {
+				return flowNormal, voidValue, err
+			}
+			st.cov.Add(line)
+			return flowNormal, voidValue, core(st, fr)
+		}
+	}
+	return func(st *state, fr []Value) (flow, Value, error) {
+		if err := st.kern.Step(); err != nil {
+			return flowNormal, voidValue, err
+		}
+		st.cov.Add(line)
+		return body(st, fr)
+	}
+}
+
+// lower compiles one statement without its watchdog charge and without
+// its own line's coverage add: the caller (a fused run, statement
+// position, a superblock segment) owns both. A simple statement lowers
+// to a core, every other kind to a flow-carrying body. While it
+// compiles, the statement's line dominates its sub-expressions — every
+// caller has covered the line before the statement runs — so
+// expression closures on that line drop their own redundant adds.
+func (c *compiler) lower(s cast.Stmt) (line int, core coreFn, body stmtFn) {
+	line = c.line(s.Pos())
 	prevDom := c.domLine
 	c.domLine = line
 	defer func() { c.domLine = prevDom }()
-	switch s := s.(type) {
-	case *cast.Block:
-		body := c.blockBody(s)
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			return runSeq(body, st, fr)
-		}
+	if lowersToCore(s) {
+		return line, c.simpleCore(s), nil
+	}
+	return line, nil, c.ctlBody(s)
+}
 
+// lowersToCore reports whether s is one of the simple statement kinds
+// simpleCore lowers to a core: declaration, expression, assignment,
+// increment. The other simple statements, the jumps, carry flow.
+func lowersToCore(s cast.Stmt) bool {
+	switch s.(type) {
+	case *cast.DeclStmt, *cast.ExprStmt, *cast.AssignStmt, *cast.IncDecStmt:
+		return true
+	}
+	return false
+}
+
+// compoundBase maps each compound assignment operator to the binary
+// operator whose intBinOp implementation it applies.
+var compoundBase = map[ctoken.Kind]ctoken.Kind{
+	ctoken.OrAssign: ctoken.Or, ctoken.AndAssign: ctoken.And, ctoken.XorAssign: ctoken.Xor,
+	ctoken.ShlAssign: ctoken.Shl, ctoken.ShrAssign: ctoken.Shr,
+	ctoken.AddAssign: ctoken.Add, ctoken.SubAssign: ctoken.Sub,
+}
+
+// simpleCore is the one lowering of the statement kinds lowersToCore
+// admits to their cores. Evaluation order and faults are the
+// interpreter's: an initialiser compiles before its name is visible, an
+// assignment evaluates its right-hand side before resolving its target.
+// Local targets (every loop induction variable) update their frame slot
+// directly, with storage truncation resolved at compile time — no
+// load/store closure pair on the hot path.
+func (c *compiler) simpleCore(s cast.Stmt) coreFn {
+	switch s := s.(type) {
 	case *cast.DeclStmt:
 		d := s.Decl
-		var initFn exprFn
-		if d.Init != nil {
-			initFn = c.expr(d.Init) // compiled before the name is visible
-		}
-		slot := c.declareLocal(d.Name, d.Type)
-		typ := d.Type
-		if initFn != nil {
-			return func(st *state, fr []Value) (flow, Value, error) {
-				st.cov.Add(line)
-				iv, err := initFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				fr[slot] = cinterp.Truncate(typ, iv)
-				return flowNormal, voidValue, nil
+		if d.Init == nil {
+			slot, def := c.declareLocal(d.Name, d.Type), defaultValue(d.Type)
+			return func(st *state, fr []Value) error {
+				fr[slot] = def
+				return nil
 			}
 		}
-		def := defaultValue(d.Type)
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			fr[slot] = def
-			return flowNormal, voidValue, nil
+		initFn := c.expr(d.Init) // compiled before the name is visible
+		slot, typ := c.declareLocal(d.Name, d.Type), d.Type
+		return func(st *state, fr []Value) error {
+			iv, err := initFn(st, fr)
+			if err != nil {
+				return err
+			}
+			fr[slot] = cinterp.Truncate(typ, iv)
+			return nil
 		}
 
 	case *cast.ExprStmt:
 		xf := c.expr(s.X)
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
+		return func(st *state, fr []Value) error {
 			_, err := xf(st, fr)
-			return flowNormal, voidValue, err
+			return err
 		}
 
 	case *cast.AssignStmt:
-		return c.assign(s, line)
+		rhsFn := c.expr(s.RHS)
+		var opf func(a, b int64) int64 // nil for plain assignment
+		if s.Op != ctoken.Assign {
+			if opf = intBinOp(compoundBase[s.Op]); opf == nil {
+				// The parser admits only the eight assignment operators.
+				c.fail(fmt.Errorf("%w: assignment operator %s", ErrUnsupported, s.Op))
+			}
+		}
+		if ls, ok := c.lookupLocal(s.LHS.Name); ok {
+			slot, tf := ls.idx, truncFn(ls.typ)
+			if opf != nil {
+				return func(st *state, fr []Value) error {
+					rhs, err := rhsFn(st, fr)
+					if err != nil {
+						return err
+					}
+					fr[slot] = intValue(tf(opf(fr[slot].I, rhs.I)))
+					return nil
+				}
+			}
+			return func(st *state, fr []Value) error {
+				rhs, err := rhsFn(st, fr)
+				if err != nil {
+					return err
+				}
+				// Direct assignment: Devil values flow through unchanged.
+				if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
+					fr[slot] = rhs
+				} else {
+					fr[slot] = intValue(tf(rhs.I))
+				}
+				return nil
+			}
+		}
+		target := c.lvalue(s.LHS)
+		tf := truncFn(target.typ)
+		return func(st *state, fr []Value) error {
+			rhs, err := rhsFn(st, fr)
+			if err != nil {
+				return err
+			}
+			cur, err := target.load(st, fr)
+			if err != nil {
+				return err
+			}
+			switch {
+			case opf != nil:
+				target.store(st, fr, intValue(tf(opf(cur.I, rhs.I))))
+			case cur.Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil:
+				target.store(st, fr, rhs) // Devil values flow through unchanged
+			default:
+				target.store(st, fr, intValue(tf(rhs.I)))
+			}
+			return nil
+		}
 
 	case *cast.IncDecStmt:
 		delta := int64(1)
 		if s.Op == ctoken.MinusMinus {
 			delta = -1
 		}
-		// Local counters (every loop induction variable) update their
-		// frame slot directly — no load/store closure pair.
 		if ls, ok := c.lookupLocal(s.X.Name); ok {
-			slot := ls.idx
-			if tf := truncFn(ls.typ); tf != nil {
-				return func(st *state, fr []Value) (flow, Value, error) {
-					st.cov.Add(line)
-					fr[slot] = intValue(tf(fr[slot].I + delta))
-					return flowNormal, voidValue, nil
-				}
-			}
-			return func(st *state, fr []Value) (flow, Value, error) {
-				st.cov.Add(line)
-				fr[slot] = intValue(fr[slot].I + delta)
-				return flowNormal, voidValue, nil
+			slot, tf := ls.idx, truncFn(ls.typ)
+			return func(st *state, fr []Value) error {
+				fr[slot] = intValue(tf(fr[slot].I + delta))
+				return nil
 			}
 		}
-		store := c.lvalue(s.X)
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			cell, err := store.load(st, fr)
+		target := c.lvalue(s.X)
+		tf := truncFn(target.typ)
+		return func(st *state, fr []Value) error {
+			cur, err := target.load(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return err
 			}
-			store.store(st, fr, cinterp.Truncate(store.typ, intValue(cell.I+delta)))
-			return flowNormal, voidValue, nil
+			target.store(st, fr, intValue(tf(cur.I+delta)))
+			return nil
+		}
+	}
+	return nil
+}
+
+// ctlBody lowers every statement kind lowersToCore does not admit to
+// its flow-carrying body.
+func (c *compiler) ctlBody(s cast.Stmt) stmtFn {
+	switch s := s.(type) {
+	case *cast.Block:
+		body := c.blockBody(s)
+		return func(st *state, fr []Value) (flow, Value, error) {
+			return runSeq(body, st, fr)
 		}
 
 	case *cast.IfStmt:
@@ -303,7 +410,6 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 			elseFn = c.stmt(s.Else)
 		}
 		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
 			cond, err := condFn(st, fr)
 			if err != nil {
 				return flowNormal, voidValue, err
@@ -318,43 +424,19 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		}
 
 	case *cast.WhileStmt:
-		if c.loopEligible(s.Body, nil) {
-			return c.whileSuper(s, line)
-		}
-		condFn := c.expr(s.Cond)
-		bodyFn := c.stmt(s.Body)
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			for {
-				cond, err := condFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if !cond.Truthy() {
-					break
-				}
-				fl, v, err := bodyFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					break
-				}
-				if fl == flowReturn {
-					return fl, v, nil
-				}
-				if err := st.kern.Step(); err != nil {
-					return flowNormal, voidValue, err
-				}
-			}
-			return flowNormal, voidValue, nil
-		}
+		return c.loop(nil, s.Cond, nil, s.Body)
+
+	case *cast.ForStmt:
+		// A for statement is a scope, init or not, as in the interpreter:
+		// a declaration body lands in it, not in the enclosing block.
+		c.pushScope()
+		defer c.popScope()
+		return c.loop(s.Init, s.Cond, s.Post, s.Body)
 
 	case *cast.DoWhileStmt:
 		bodyFn := c.stmt(s.Body)
 		condFn := c.expr(s.Cond)
 		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
 			for {
 				fl, v, err := bodyFn(st, fr)
 				if err != nil {
@@ -372,64 +454,6 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 				}
 				if !cond.Truthy() {
 					break
-				}
-				if err := st.kern.Step(); err != nil {
-					return flowNormal, voidValue, err
-				}
-			}
-			return flowNormal, voidValue, nil
-		}
-
-	case *cast.ForStmt:
-		if c.loopEligible(s.Body, s.Post) {
-			return c.forSuper(s, line)
-		}
-		c.pushScope() // the init declaration's scope, as in the interpreter
-		var initFn stmtFn
-		if s.Init != nil {
-			initFn = c.stmt(s.Init)
-		}
-		var condFn exprFn
-		if s.Cond != nil {
-			condFn = c.expr(s.Cond)
-		}
-		var postFn stmtFn
-		if s.Post != nil {
-			postFn = c.stmt(s.Post)
-		}
-		bodyFn := c.stmt(s.Body)
-		c.popScope()
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			if initFn != nil {
-				if fl, v, err := initFn(st, fr); err != nil || fl != flowNormal {
-					return fl, v, err
-				}
-			}
-			for {
-				if condFn != nil {
-					cond, err := condFn(st, fr)
-					if err != nil {
-						return flowNormal, voidValue, err
-					}
-					if !cond.Truthy() {
-						break
-					}
-				}
-				fl, v, err := bodyFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					break
-				}
-				if fl == flowReturn {
-					return fl, v, nil
-				}
-				if postFn != nil {
-					if fl, v, err := postFn(st, fr); err != nil || fl == flowReturn {
-						return fl, v, err
-					}
 				}
 				if err := st.kern.Step(); err != nil {
 					return flowNormal, voidValue, err
@@ -439,30 +463,20 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		}
 
 	case *cast.SwitchStmt:
-		return c.switchStmt(s, line)
+		return c.switchStmt(s)
 
 	case *cast.BreakStmt:
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			return flowBreak, voidValue, nil
-		}
+		return func(*state, []Value) (flow, Value, error) { return flowBreak, voidValue, nil }
 
 	case *cast.ContinueStmt:
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			return flowContinue, voidValue, nil
-		}
+		return func(*state, []Value) (flow, Value, error) { return flowContinue, voidValue, nil }
 
 	case *cast.ReturnStmt:
 		if s.X == nil {
-			return func(st *state, fr []Value) (flow, Value, error) {
-				st.cov.Add(line)
-				return flowReturn, voidValue, nil
-			}
+			return func(*state, []Value) (flow, Value, error) { return flowReturn, voidValue, nil }
 		}
 		xf := c.expr(s.X)
 		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
 			v, err := xf(st, fr)
 			if err != nil {
 				return flowNormal, voidValue, err
@@ -470,12 +484,68 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 			return flowReturn, v, nil
 		}
 	}
-
 	// Unknown statement kinds execute as a charged no-op, exactly like
-	// the interpreter's execStmt default (unknown kinds are not simple,
-	// so seq always charges them).
+	// the interpreter's execStmt default.
+	return func(*state, []Value) (flow, Value, error) { return flowNormal, voidValue, nil }
+}
+
+// loop compiles a for loop, and a while loop as a for loop with no init
+// and no post. A loop whose body has no direct jump compiles to a
+// superblock (superLoop); every other one runs here, as the interpreter
+// runs it: the condition, the charged body, the charged post, then the
+// back-edge charge.
+func (c *compiler) loop(init cast.Stmt, cond cast.Expr, post, body cast.Stmt) stmtFn {
+	var initFn stmtFn
+	if init != nil {
+		initFn = c.stmt(init)
+	}
+	var condFn exprFn
+	if cond != nil {
+		condFn = c.expr(cond)
+	}
+	if loopEligible(body, post) {
+		return c.superLoop(initFn, cond, condFn, post, body)
+	}
+	var postFn stmtFn
+	if post != nil {
+		postFn = c.stmt(post)
+	}
+	bodyFn := c.stmt(body)
 	return func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
+		if initFn != nil {
+			if fl, v, err := initFn(st, fr); err != nil || fl != flowNormal {
+				return fl, v, err
+			}
+		}
+		for {
+			if condFn != nil {
+				cond, err := condFn(st, fr)
+				if err != nil {
+					return flowNormal, voidValue, err
+				}
+				if !cond.Truthy() {
+					break
+				}
+			}
+			fl, v, err := bodyFn(st, fr)
+			if err != nil {
+				return flowNormal, voidValue, err
+			}
+			if fl == flowBreak {
+				break
+			}
+			if fl == flowReturn {
+				return fl, v, nil
+			}
+			if postFn != nil {
+				if fl, v, err := postFn(st, fr); err != nil || fl == flowReturn {
+					return fl, v, err
+				}
+			}
+			if err := st.kern.Step(); err != nil {
+				return flowNormal, voidValue, err
+			}
+		}
 		return flowNormal, voidValue, nil
 	}
 }
@@ -499,7 +569,7 @@ type cclause struct {
 	isDefault bool
 }
 
-func (c *compiler) switchStmt(s *cast.SwitchStmt, line int) stmtFn {
+func (c *compiler) switchStmt(s *cast.SwitchStmt) stmtFn {
 	tagFn := c.expr(s.Tag)
 	clauses := make([]*cclause, len(s.Clauses))
 	for i, cl := range s.Clauses {
@@ -513,7 +583,6 @@ func (c *compiler) switchStmt(s *cast.SwitchStmt, line int) stmtFn {
 		clauses[i] = cc
 	}
 	return func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
 		tag, err := tagFn(st, fr)
 		if err != nil {
 			return flowNormal, voidValue, err
@@ -561,91 +630,8 @@ func (c *compiler) switchStmt(s *cast.SwitchStmt, line int) stmtFn {
 	}
 }
 
-// assignLocal compiles an assignment to a local frame slot, with the
-// generic closures' exact semantics inlined. Returns nil for compound
-// operators outside the known set (the generic path owns their
-// bad-operator fault).
-func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls localSlot) stmtFn {
-	slot, typ := ls.idx, ls.typ
-	tf := truncFn(typ)
-	if s.Op == ctoken.Assign {
-		if tf == nil {
-			// Full-width storage: truncation is identity.
-			return func(st *state, fr []Value) (flow, Value, error) {
-				st.cov.Add(line)
-				rhs, err := rhsFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				// Direct assignment: Devil values flow through unchanged.
-				if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
-					fr[slot] = rhs
-				} else {
-					fr[slot] = intValue(rhs.I)
-				}
-				return flowNormal, voidValue, nil
-			}
-		}
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-			// Direct assignment: Devil values flow through unchanged.
-			if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
-				fr[slot] = rhs
-			} else {
-				fr[slot] = intValue(tf(rhs.I))
-			}
-			return flowNormal, voidValue, nil
-		}
-	}
-	var base ctoken.Kind
-	switch s.Op {
-	case ctoken.OrAssign:
-		base = ctoken.Or
-	case ctoken.AndAssign:
-		base = ctoken.And
-	case ctoken.XorAssign:
-		base = ctoken.Xor
-	case ctoken.ShlAssign:
-		base = ctoken.Shl
-	case ctoken.ShrAssign:
-		base = ctoken.Shr
-	case ctoken.AddAssign:
-		base = ctoken.Add
-	case ctoken.SubAssign:
-		base = ctoken.Sub
-	default:
-		return nil
-	}
-	opf := intBinOp(base)
-	if tf == nil {
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-			fr[slot] = intValue(opf(fr[slot].I, rhs.I))
-			return flowNormal, voidValue, nil
-		}
-	}
-	return func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
-		rhs, err := rhsFn(st, fr)
-		if err != nil {
-			return flowNormal, voidValue, err
-		}
-		fr[slot] = intValue(tf(opf(fr[slot].I, rhs.I)))
-		return flowNormal, voidValue, nil
-	}
-}
-
-// truncFn resolves cinterp.Truncate's storage-type switch at compile
-// time. Returns nil when the declared type stores full 64-bit values,
-// so callers can drop the call entirely.
+// truncFn resolves cinterp.Truncate's storage-type switch for an
+// integer value at compile time; full-width storage truncates to itself.
 func truncFn(t cast.CType) func(int64) int64 {
 	switch t.Kind {
 	case cast.TypeU8:
@@ -661,7 +647,7 @@ func truncFn(t cast.CType) func(int64) int64 {
 	case cast.TypeInt, cast.TypeS32:
 		return func(x int64) int64 { return int64(int32(x)) }
 	}
-	return nil
+	return func(x int64) int64 { return x }
 }
 
 // lval is a compiled storage location: local slot, global slot, or the
@@ -706,84 +692,4 @@ func (c *compiler) lvalue(id *cast.Ident) *lval {
 
 func undefVarErr(name string) error {
 	return &kernel.CrashError{Cause: fmt.Errorf("read of undefined variable %q", name)}
-}
-
-// assign compiles "lhs op rhs" with the interpreter's order: RHS first,
-// then target resolution, then the op-specific store.
-func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
-	rhsFn := c.expr(s.RHS)
-	// Local targets store into their frame slot directly — no
-	// load/store closure pair on the hot path.
-	if ls, ok := c.lookupLocal(s.LHS.Name); ok {
-		if f := c.assignLocal(s, line, rhsFn, ls); f != nil {
-			return f
-		}
-	}
-	target := c.lvalue(s.LHS)
-	typ := target.typ
-	if s.Op == ctoken.Assign {
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-			cur, err := target.load(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-			// Direct assignment: Devil values flow through unchanged.
-			if cur.Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
-				target.store(st, fr, rhs)
-			} else {
-				target.store(st, fr, cinterp.Truncate(typ, intValue(rhs.I)))
-			}
-			return flowNormal, voidValue, nil
-		}
-	}
-	var op func(a, b int64) int64
-	switch s.Op {
-	case ctoken.OrAssign:
-		op = func(a, b int64) int64 { return a | b }
-	case ctoken.AndAssign:
-		op = func(a, b int64) int64 { return a & b }
-	case ctoken.XorAssign:
-		op = func(a, b int64) int64 { return a ^ b }
-	case ctoken.ShlAssign:
-		op = func(a, b int64) int64 { return a << uint(b&63) }
-	case ctoken.ShrAssign:
-		op = func(a, b int64) int64 { return a >> uint(b&63) }
-	case ctoken.AddAssign:
-		op = func(a, b int64) int64 { return a + b }
-	case ctoken.SubAssign:
-		op = func(a, b int64) int64 { return a - b }
-	default:
-		badOp := s.Op
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-			if _, err := target.load(st, fr); err != nil {
-				return flowNormal, voidValue, err
-			}
-			_ = rhs
-			return flowNormal, voidValue,
-				&kernel.CrashError{Cause: fmt.Errorf("bad assignment operator %s", badOp)}
-		}
-	}
-	return func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
-		rhs, err := rhsFn(st, fr)
-		if err != nil {
-			return flowNormal, voidValue, err
-		}
-		cur, err := target.load(st, fr)
-		if err != nil {
-			return flowNormal, voidValue, err
-		}
-		target.store(st, fr, cinterp.Truncate(typ, intValue(op(cur.I, rhs.I))))
-		return flowNormal, voidValue, nil
-	}
 }

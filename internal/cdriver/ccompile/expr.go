@@ -317,26 +317,34 @@ func (c *compiler) inlineOperand(x cast.Expr) (fop, bool) {
 	return fop{}, false
 }
 
-// evalFused evaluates a fused operand — small enough for the compiler
-// to inline into the binary closures, with the macro fallback kept out
-// of line in macroLate.
-func evalFused(st *state, fr []Value, o *fop) (int64, error) {
-	st.cov.Add(o.useLine)
+// read is the one inline read of a fused operand: its frame slot, its
+// literal, or a constant macro's value once the declsReady and depth
+// guards pass. It covers nothing: callers own the use-line add and,
+// after a passing read, the macro body line's (bodyLine is 0, a no-op
+// add, for locals and literals). ok is false when a guard fails; the
+// caller then takes an exact slow path — evalFused, or a loop
+// predicate's careful closure.
+func (o fop) read(st *state, fr []Value) (v int64, ok bool) {
 	if o.slot >= 0 {
-		return fr[o.slot].I, nil
+		return fr[o.slot].I, true
 	}
-	if o.guarded {
-		if o.ord >= st.declsReady {
-			return macroLate(st, o.name)
-		}
-		if st.depth >= maxCallDepth {
-			return 0, &kernel.CrashError{
-				Cause: fmt.Errorf("macro expansion too deep at %q", o.name),
-			}
-		}
+	return o.v, !o.guarded || (o.ord < st.declsReady && st.depth < maxCallDepth)
+}
+
+// evalFused is a fused operand's full evaluation — use line, read, body
+// line — and the slow path behind every inline read: a macro whose
+// guard fails takes the interpreter's not-yet-declared fallback
+// (macroLate) or its expansion-depth fault.
+func evalFused(st *state, fr []Value, o fop) (int64, error) {
+	st.cov.Add(o.useLine)
+	if v, ok := o.read(st, fr); ok {
 		st.cov.Add(o.bodyLine)
+		return v, nil
 	}
-	return o.v, nil
+	if o.ord >= st.declsReady {
+		return macroLate(st, o.name)
+	}
+	return 0, &kernel.CrashError{Cause: fmt.Errorf("macro expansion too deep at %q", o.name)}
 }
 
 // macroLate is the not-yet-declared macro path (reachable only during
@@ -429,163 +437,77 @@ func b2i(ok bool) int64 {
 
 // inlineBinary emits an operator-specialized closure for a binary whose
 // operands both fused and whose operator has a pure integer
-// implementation: the operator resolves at compile time, unguarded
-// operands read their frame slot or constant inline with no error
-// path, and compile-time-redundant coverage adds are gone. Two
-// constant operands fold to a literal. Returns nil when the shape
-// needs one of the generic closures (guarded macro operands keep their
-// declsReady/depth guards through evalFused).
+// implementation: the operator resolves at compile time, both operands
+// read inline, and compile-time-redundant coverage adds are gone. Two
+// literal operands fold to a constant. A failing macro guard re-runs
+// the operands through evalFused, exactly. Returns nil when the
+// operator needs the generic closures.
 func (c *compiler) inlineBinary(op ctoken.Kind, line int, xo, yo fop) exprFn {
 	f := intBinOp(op)
 	if f == nil {
 		return nil
 	}
 	add := !c.skipCov(line)
-	if xo.guarded || yo.guarded {
-		xo, yo := xo, yo
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			a, err := evalFused(st, fr, &xo)
-			if err != nil {
-				return voidValue, err
-			}
-			b, err := evalFused(st, fr, &yo)
-			if err != nil {
-				return voidValue, err
-			}
-			return intValue(f(a, b)), nil
-		})
-	}
 	xl := c.covLine(xo.useLine, line)
 	yl := c.covLine(yo.useLine, line)
-	switch {
-	case xo.slot >= 0 && yo.slot >= 0:
-		i, j := xo.slot, yo.slot
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			cover2(st, xl, yl)
-			return intValue(f(fr[i].I, fr[j].I)), nil
-		})
-	case xo.slot >= 0:
-		i, k := xo.slot, yo.v
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			cover2(st, xl, yl)
-			return intValue(f(fr[i].I, k)), nil
-		})
-	case yo.slot >= 0:
-		k, j := xo.v, yo.slot
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			cover2(st, xl, yl)
-			return intValue(f(k, fr[j].I)), nil
-		})
-	default:
+	if xo.slot < 0 && yo.slot < 0 && !xo.guarded && !yo.guarded {
 		v := intValue(f(xo.v, yo.v)) // constant folding, coverage kept
 		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
 			cover2(st, xl, yl)
 			return v, nil
 		})
 	}
+	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
+		a, aok := xo.read(st, fr)
+		b, bok := yo.read(st, fr)
+		if !aok || !bok {
+			var err error
+			if a, err = evalFused(st, fr, xo); err != nil {
+				return voidValue, err
+			}
+			if b, err = evalFused(st, fr, yo); err != nil {
+				return voidValue, err
+			}
+			return intValue(f(a, b)), nil
+		}
+		cover2(st, xl, yl)
+		st.cov.Add(xo.bodyLine)
+		st.cov.Add(yo.bodyLine)
+		return intValue(f(a, b)), nil
+	})
 }
 
 // halfFused emits an operator-specialized closure for a binary with one
-// compiled operand and one fused, unguarded operand — the
-// `inb(port) & MASK` shape of every status poll. The operator resolves
-// at compile time; the fused operand reads its frame slot or constant
-// inline. fusedLeft says which side fused, preserving evaluation and
-// coverage order exactly: a left fused operand records its use line
-// before the compiled side runs, a right one only after the compiled
-// side succeeded.
+// compiled operand and one fused operand — the `inb(port) & MASK` shape
+// of every status poll. The operator resolves at compile time; the
+// fused operand reads inline. fusedLeft says which side fused,
+// preserving evaluation and coverage order exactly: a left fused
+// operand records its use line before the compiled side runs, a right
+// one only after the compiled side succeeded.
 func (c *compiler) halfFused(op ctoken.Kind, line int, ef exprFn, o fop, fusedLeft bool) exprFn {
 	f := intBinOp(op)
 	if f == nil {
 		return nil
 	}
 	add := !c.skipCov(line)
-	if o.guarded {
-		// Guarded macro operands: the declsReady/depth guards inline
-		// with evalFused's exact coverage order — use line first
-		// (dedup'd at compile time when the statement line already
-		// covers it), body line only once the guards pass. The
-		// init-time-only slow case defers to evalFused.
-		o := o
-		ul := c.covLine(o.useLine, line)
-		bodyLine, ord, k := o.bodyLine, o.ord, o.v
-		if fusedLeft {
-			return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-				if ul >= 0 {
-					st.cov.Add(ul)
-				}
-				a := k
-				if ord >= st.declsReady || st.depth >= maxCallDepth {
-					var err error
-					if a, err = evalFused(st, fr, &o); err != nil {
-						return voidValue, err
-					}
-				} else {
-					st.cov.Add(bodyLine)
-				}
-				r, err := ef(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				return intValue(f(a, r.I)), nil
-			})
-		}
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			l, err := ef(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			if ul >= 0 {
-				st.cov.Add(ul)
-			}
-			b := k
-			if ord >= st.declsReady || st.depth >= maxCallDepth {
-				if b, err = evalFused(st, fr, &o); err != nil {
-					return voidValue, err
-				}
-			} else {
-				st.cov.Add(bodyLine)
-			}
-			return intValue(f(l.I, b)), nil
-		})
-	}
 	ol := c.covLine(o.useLine, line)
-	if o.slot >= 0 {
-		j := o.slot
-		if fusedLeft {
-			return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-				if ol >= 0 {
-					st.cov.Add(ol)
-				}
-				a := fr[j].I
-				r, err := ef(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				return intValue(f(a, r.I)), nil
-			})
-		}
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			l, err := ef(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			if ol >= 0 {
-				st.cov.Add(ol)
-			}
-			return intValue(f(l.I, fr[j].I)), nil
-		})
-	}
-	k := o.v
 	if fusedLeft {
 		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
 			if ol >= 0 {
 				st.cov.Add(ol)
 			}
+			a, ok := o.read(st, fr)
+			var err error
+			if ok {
+				st.cov.Add(o.bodyLine)
+			} else if a, err = evalFused(st, fr, o); err != nil {
+				return voidValue, err
+			}
 			r, err := ef(st, fr)
 			if err != nil {
 				return voidValue, err
 			}
-			return intValue(f(k, r.I)), nil
+			return intValue(f(a, r.I)), nil
 		})
 	}
 	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
@@ -596,7 +518,13 @@ func (c *compiler) halfFused(op ctoken.Kind, line int, ef exprFn, o fop, fusedLe
 		if ol >= 0 {
 			st.cov.Add(ol)
 		}
-		return intValue(f(l.I, k)), nil
+		b, ok := o.read(st, fr)
+		if ok {
+			st.cov.Add(o.bodyLine)
+		} else if b, err = evalFused(st, fr, o); err != nil {
+			return voidValue, err
+		}
+		return intValue(f(l.I, b)), nil
 	})
 }
 
@@ -630,11 +558,11 @@ func (c *compiler) binary(x *cast.BinaryExpr, line int) exprFn {
 		case xok && yok:
 			return func(st *state, fr []Value) (Value, error) {
 				st.cov.Add(line)
-				a, err := evalFused(st, fr, &xo)
+				a, err := evalFused(st, fr, xo)
 				if err != nil {
 					return voidValue, err
 				}
-				b, err := evalFused(st, fr, &yo)
+				b, err := evalFused(st, fr, yo)
 				if err != nil {
 					return voidValue, err
 				}
@@ -656,7 +584,7 @@ func (c *compiler) binary(x *cast.BinaryExpr, line int) exprFn {
 				if err != nil {
 					return voidValue, err
 				}
-				b, err := evalFused(st, fr, &yo)
+				b, err := evalFused(st, fr, yo)
 				if err != nil {
 					return voidValue, err
 				}
@@ -669,7 +597,7 @@ func (c *compiler) binary(x *cast.BinaryExpr, line int) exprFn {
 			}
 			return func(st *state, fr []Value) (Value, error) {
 				st.cov.Add(line)
-				a, err := evalFused(st, fr, &xo)
+				a, err := evalFused(st, fr, xo)
 				if err != nil {
 					return voidValue, err
 				}
@@ -1024,25 +952,21 @@ func (c *compiler) inlineRead(o fop, line int, width hw.AccessWidth) exprFn {
 		})
 	}
 	port := hw.Port(o.v)
-	bodyLine := o.bodyLine
-	guarded := o.guarded
 	var ch *hw.PortHandle
 	var tried bool
 	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
 		if pl >= 0 {
 			st.cov.Add(pl)
 		}
-		if guarded {
-			if o.ord >= st.declsReady || st.depth >= maxCallDepth {
-				a, err := evalFused(st, fr, &o)
-				if err != nil {
-					return voidValue, err
-				}
-				v, err := st.bus.Read(hw.Port(a), width)
-				return intValue(int64(v)), err
+		if _, ok := o.read(st, fr); !ok {
+			a, err := evalFused(st, fr, o)
+			if err != nil {
+				return voidValue, err
 			}
-			st.cov.Add(bodyLine)
+			v, err := st.bus.Read(hw.Port(a), width)
+			return intValue(int64(v)), err
 		}
+		st.cov.Add(o.bodyLine)
 		if !tried {
 			tried, ch = true, st.bus.Resolve(port)
 		}
@@ -1107,32 +1031,29 @@ func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo 
 			st.cov.Add(pl)
 		}
 		var v uint32
+		p, ok := po.read(st, fr)
 		var err error
 		switch {
-		case po.slot >= 0:
-			p := hw.Port(fr[po.slot].I)
-			if h := cache.get(st, p); h != nil {
-				v, err = h.Read(width)
-			} else {
-				v, err = st.bus.Read(p, width)
-			}
-		case po.guarded && (po.ord >= st.declsReady || st.depth >= maxCallDepth):
-			var a int64
-			if a, err = evalFused(st, fr, &po); err != nil {
+		case !ok:
+			if p, err = evalFused(st, fr, po); err != nil {
 				return voidValue, err
 			}
-			v, err = st.bus.Read(hw.Port(a), width)
-		default:
-			if po.guarded {
-				st.cov.Add(po.bodyLine)
+			v, err = st.bus.Read(hw.Port(p), width)
+		case po.slot >= 0:
+			if h := cache.get(st, hw.Port(p)); h != nil {
+				v, err = h.Read(width)
+			} else {
+				v, err = st.bus.Read(hw.Port(p), width)
 			}
+		default:
+			st.cov.Add(po.bodyLine)
 			if !tried {
-				tried, ch = true, st.bus.Resolve(hw.Port(po.v))
+				tried, ch = true, st.bus.Resolve(hw.Port(p))
 			}
 			if ch != nil {
 				v, err = ch.Read(width)
 			} else {
-				v, err = st.bus.Read(hw.Port(po.v), width)
+				v, err = st.bus.Read(hw.Port(p), width)
 			}
 		}
 		if err != nil {
@@ -1141,17 +1062,11 @@ func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo 
 		if ml >= 0 {
 			st.cov.Add(ml)
 		}
-		b := yo.v
-		if yo.slot >= 0 {
-			b = fr[yo.slot].I
-		} else if yo.guarded {
-			if yo.ord >= st.declsReady || st.depth >= maxCallDepth {
-				if b, err = evalFused(st, fr, &yo); err != nil {
-					return voidValue, err
-				}
-				return intValue(f(int64(v), b)), nil
-			}
+		b, ok := yo.read(st, fr)
+		if ok {
 			st.cov.Add(yo.bodyLine)
+		} else if b, err = evalFused(st, fr, yo); err != nil {
+			return voidValue, err
 		}
 		return intValue(f(int64(v), b)), nil
 	})
@@ -1182,8 +1097,6 @@ func (c *compiler) inlineWrite(vf exprFn, o fop, line int, width hw.AccessWidth)
 		})
 	}
 	port := hw.Port(o.v)
-	bodyLine := o.bodyLine
-	guarded := o.guarded
 	var ch *hw.PortHandle
 	var tried bool
 	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
@@ -1194,16 +1107,14 @@ func (c *compiler) inlineWrite(vf exprFn, o fop, line int, width hw.AccessWidth)
 		if pl >= 0 {
 			st.cov.Add(pl)
 		}
-		if guarded {
-			if o.ord >= st.declsReady || st.depth >= maxCallDepth {
-				a, err := evalFused(st, fr, &o)
-				if err != nil {
-					return voidValue, err
-				}
-				return voidValue, st.bus.Write(hw.Port(a), width, uint32(v.I))
+		if _, ok := o.read(st, fr); !ok {
+			a, err := evalFused(st, fr, o)
+			if err != nil {
+				return voidValue, err
 			}
-			st.cov.Add(bodyLine)
+			return voidValue, st.bus.Write(hw.Port(a), width, uint32(v.I))
 		}
+		st.cov.Add(o.bodyLine)
 		if !tried {
 			tried, ch = true, st.bus.Resolve(port)
 		}

@@ -262,9 +262,9 @@ func (in *Incr) Patch(ord int, d cast.Decl) (*Proc, error) {
 }
 
 // PatchStats reports the fusion work the most recent successful Patch
-// performed: the basic blocks, fused statements and I/O sites of just
-// the recompiled units (zero on the non-fusing backend). The campaign
-// engine feeds it into the driverlab_exec_blocks_* counters.
+// performed: the basic blocks, fused statements, superblocks and I/O
+// sites of just the recompiled units. The campaign engine feeds it into
+// the driverlab_exec_blocks_* and driverlab_exec_superblocks_* counters.
 func (in *Incr) PatchStats() BlockStats { return in.lastPatch }
 
 // resetRun rewinds a Proc's mutable execution state to the moment

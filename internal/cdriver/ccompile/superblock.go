@@ -1,18 +1,13 @@
 package ccompile
 
 import (
-	"fmt"
-
 	"repro/internal/cdriver/cast"
-	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/ctoken"
-	"repro/internal/kernel"
 )
 
-// Loop superblocks: a while/for loop whose body is made of simple
-// statements and nested control statements (no direct break, continue or
-// return) compiles to a single closure that runs the whole loop
-// internally — threaded code instead of one closure dispatch per
+// Loop superblocks: a while/for loop whose body holds no direct break,
+// continue or return compiles to a single closure that runs the whole
+// loop internally — threaded code instead of one closure dispatch per
 // statement per iteration.
 //
 // Three specializations carry the win on the driver corpus' hot shape,
@@ -22,496 +17,173 @@ import (
 //   - the loop condition compiles to a predFn returning a bare bool
 //     (specialized for fused comparisons like `t < TIMEOUT`), so the
 //     per-iteration test pays no Value boxing;
-//   - maximal runs of simple statements compile to lean error-only
-//     cores (leanFn) — no (flow, Value, error) triple per statement —
-//     and an if statement flattens to its condition closure plus branch
-//     dispatch with no per-iteration statement-closure hop;
+//   - the body runs as segments — a maximal run of simple statements as
+//     its cores, a control statement as its body — with no
+//     per-statement closure hop;
 //   - the per-iteration watchdog charges that sequential execution
 //     makes back to back with only coverage adds in between batch into
 //     one kernel.StepN call.
 //
-// Observables stay byte-identical to the PR-9 block form. Iterations
-// run in "careful" mode — per-statement coverage adds and the exact
-// sequential charge pattern — until one iteration has executed every
-// segment; from then on the (idempotent) covered-line set already holds
-// every line a steady-state iteration can add, and lean iterations drop
-// only those provably redundant adds while batching the charges they
-// stood between. StepN clamps to the budget so watchdog-tripped boots
-// land on exactly budget+1 steps, and a failing batched charge skips
-// the statements it dominates exactly as the sequential charges would.
-// Sub-expression closures (port I/O, macro guards, call machinery) are
-// shared between both modes, so their side effects, faults and own
-// coverage adds never diverge. Loops with direct break/continue/return
-// in the body, and do/while loops, keep the PR-9 form.
-
-// leanFn is one compiled simple statement in a superblock's steady
-// state: error-only, no flow or value traffic.
-type leanFn func(st *state, fr []Value) error
+// The cores and bodies are the ones every other statement position
+// runs (see lower), so careful and lean iterations differ only in the
+// statement-line coverage adds and the batching of the charges around
+// them. Iterations run in "careful" mode — every statement line covered
+// and the exact sequential charge pattern — until one iteration has
+// executed every segment; from then on the (idempotent) covered-line
+// set already holds every statement line a steady-state iteration can
+// add, and lean iterations drop those adds while batching the charges
+// they stood between. StepN clamps to the budget so watchdog-tripped
+// boots land on exactly budget+1 steps, and a failing batched charge
+// skips the statements it dominates exactly as the sequential charges
+// would. Loops with a direct jump in the body, and do/while loops, run
+// on the plain loop driver.
 
 // predFn evaluates a loop condition to a bare bool.
 type predFn func(st *state, fr []Value) (bool, error)
 
-// superSimple reports whether a statement compiles to a lean run core:
-// the flow-free simple kinds (the fusion rule's set minus
-// break/continue/return).
-func superSimple(s cast.Stmt) bool {
+// isJump reports whether s is a break, continue or return: the simple
+// statements that do not lower to a core.
+func isJump(s cast.Stmt) bool {
 	switch s.(type) {
-	case *cast.DeclStmt, *cast.ExprStmt, *cast.AssignStmt, *cast.IncDecStmt:
+	case *cast.BreakStmt, *cast.ContinueStmt, *cast.ReturnStmt:
 		return true
 	}
 	return false
 }
 
-// superCtl reports whether a statement can be a control segment: its
-// compiled closure is reused as-is (self-covering, flow-carrying), so
-// any nested control structure qualifies. Direct break/continue/return
-// make the enclosing loop fall back — their flow is unconditional, so
-// such a loop never reaches a steady state worth specializing.
-func superCtl(s cast.Stmt) bool {
-	switch s.(type) {
-	case *cast.IfStmt, *cast.WhileStmt, *cast.DoWhileStmt, *cast.ForStmt,
-		*cast.SwitchStmt, *cast.Block:
-		return true
-	}
-	return false
-}
-
-// loopEligible reports whether a loop body (and for post) can compile
-// to a superblock.
-func (c *compiler) loopEligible(body, post cast.Stmt) bool {
-	if post != nil && !superSimple(post) {
+// loopEligible reports whether a loop compiles to a superblock: its post
+// (if any) lowers to a core, and no statement of its body is a direct
+// jump — a jump's flow is unconditional, so such a loop never reaches a
+// steady state worth specializing.
+func loopEligible(body, post cast.Stmt) bool {
+	if post != nil && !lowersToCore(post) {
 		return false
 	}
+	stmts := []cast.Stmt{body}
 	if b, ok := body.(*cast.Block); ok {
-		for _, s := range b.Stmts {
-			if !superSimple(s) && !superCtl(s) {
-				return false
-			}
-		}
-		return true
+		stmts = b.Stmts
 	}
-	return superSimple(body) || superCtl(body)
-}
-
-// leanCore compiles one simple statement to its lean core and source
-// line. The core carries everything but the statement-line coverage
-// add; careful iterations wrap it with that add, lean iterations run it
-// bare (the line is already covered). Sub-expression closures are
-// shared between both forms, so their own coverage adds, guards and
-// faults stay identical.
-func (c *compiler) leanCore(s cast.Stmt) (int, leanFn) {
-	line := c.line(s.Pos())
-	// Mirror stmtBody's dominating-line dance so sub-expressions make
-	// the same compile-time coverage-dedup decisions as the block form.
-	prevDom := c.domLine
-	c.domLine = line
-	defer func() { c.domLine = prevDom }()
-	switch s := s.(type) {
-	case *cast.DeclStmt:
-		d := s.Decl
-		var initFn exprFn
-		if d.Init != nil {
-			initFn = c.expr(d.Init) // compiled before the name is visible
-		}
-		slot := c.declareLocal(d.Name, d.Type)
-		typ := d.Type
-		if initFn != nil {
-			return line, func(st *state, fr []Value) error {
-				iv, err := initFn(st, fr)
-				if err != nil {
-					return err
-				}
-				fr[slot] = cinterp.Truncate(typ, iv)
-				return nil
-			}
-		}
-		def := defaultValue(d.Type)
-		return line, func(st *state, fr []Value) error {
-			fr[slot] = def
-			return nil
-		}
-
-	case *cast.ExprStmt:
-		xf := c.expr(s.X)
-		return line, func(st *state, fr []Value) error {
-			_, err := xf(st, fr)
-			return err
-		}
-
-	case *cast.AssignStmt:
-		return line, c.leanAssign(s)
-
-	case *cast.IncDecStmt:
-		delta := int64(1)
-		if s.Op == ctoken.MinusMinus {
-			delta = -1
-		}
-		if ls, ok := c.lookupLocal(s.X.Name); ok {
-			slot := ls.idx
-			if tf := truncFn(ls.typ); tf != nil {
-				return line, func(st *state, fr []Value) error {
-					fr[slot] = intValue(tf(fr[slot].I + delta))
-					return nil
-				}
-			}
-			return line, func(st *state, fr []Value) error {
-				fr[slot] = intValue(fr[slot].I + delta)
-				return nil
-			}
-		}
-		store := c.lvalue(s.X)
-		return line, func(st *state, fr []Value) error {
-			cell, err := store.load(st, fr)
-			if err != nil {
-				return err
-			}
-			store.store(st, fr, cinterp.Truncate(store.typ, intValue(cell.I+delta)))
-			return nil
+	for _, s := range stmts {
+		if isJump(s) {
+			return false
 		}
 	}
-
-	// Unreachable for eligible statements; behave as the charged no-op
-	// the block form compiles for unknown kinds.
-	return line, func(st *state, fr []Value) error { return nil }
-}
-
-// leanAssign is assign/assignLocal with the statement-line coverage add
-// and flow/value traffic stripped. Order and faults are identical.
-func (c *compiler) leanAssign(s *cast.AssignStmt) leanFn {
-	rhsFn := c.expr(s.RHS)
-	if ls, ok := c.lookupLocal(s.LHS.Name); ok {
-		if f := c.leanAssignLocal(s, rhsFn, ls); f != nil {
-			return f
-		}
-	}
-	target := c.lvalue(s.LHS)
-	typ := target.typ
-	if s.Op == ctoken.Assign {
-		return func(st *state, fr []Value) error {
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return err
-			}
-			cur, err := target.load(st, fr)
-			if err != nil {
-				return err
-			}
-			// Direct assignment: Devil values flow through unchanged.
-			if cur.Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
-				target.store(st, fr, rhs)
-			} else {
-				target.store(st, fr, cinterp.Truncate(typ, intValue(rhs.I)))
-			}
-			return nil
-		}
-	}
-	op := compoundOp(s.Op)
-	if op == nil {
-		badOp := s.Op
-		return func(st *state, fr []Value) error {
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return err
-			}
-			if _, err := target.load(st, fr); err != nil {
-				return err
-			}
-			_ = rhs
-			return badAssignOpErr(badOp)
-		}
-	}
-	return func(st *state, fr []Value) error {
-		rhs, err := rhsFn(st, fr)
-		if err != nil {
-			return err
-		}
-		cur, err := target.load(st, fr)
-		if err != nil {
-			return err
-		}
-		target.store(st, fr, cinterp.Truncate(typ, intValue(op(cur.I, rhs.I))))
-		return nil
-	}
-}
-
-// leanAssignLocal is assignLocal's lean twin. Returns nil for compound
-// operators outside the known set (the generic lean path owns the
-// bad-operator fault).
-func (c *compiler) leanAssignLocal(s *cast.AssignStmt, rhsFn exprFn, ls localSlot) leanFn {
-	slot, typ := ls.idx, ls.typ
-	tf := truncFn(typ)
-	if s.Op == ctoken.Assign {
-		if tf == nil {
-			return func(st *state, fr []Value) error {
-				rhs, err := rhsFn(st, fr)
-				if err != nil {
-					return err
-				}
-				if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
-					fr[slot] = rhs
-				} else {
-					fr[slot] = intValue(rhs.I)
-				}
-				return nil
-			}
-		}
-		return func(st *state, fr []Value) error {
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return err
-			}
-			if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
-				fr[slot] = rhs
-			} else {
-				fr[slot] = intValue(tf(rhs.I))
-			}
-			return nil
-		}
-	}
-	var base ctoken.Kind
-	switch s.Op {
-	case ctoken.OrAssign:
-		base = ctoken.Or
-	case ctoken.AndAssign:
-		base = ctoken.And
-	case ctoken.XorAssign:
-		base = ctoken.Xor
-	case ctoken.ShlAssign:
-		base = ctoken.Shl
-	case ctoken.ShrAssign:
-		base = ctoken.Shr
-	case ctoken.AddAssign:
-		base = ctoken.Add
-	case ctoken.SubAssign:
-		base = ctoken.Sub
-	default:
-		return nil
-	}
-	opf := intBinOp(base)
-	if tf == nil {
-		return func(st *state, fr []Value) error {
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return err
-			}
-			fr[slot] = intValue(opf(fr[slot].I, rhs.I))
-			return nil
-		}
-	}
-	return func(st *state, fr []Value) error {
-		rhs, err := rhsFn(st, fr)
-		if err != nil {
-			return err
-		}
-		fr[slot] = intValue(tf(opf(fr[slot].I, rhs.I)))
-		return nil
-	}
-}
-
-// compoundOp resolves a compound assignment operator to its integer
-// implementation (the assign closure's switch), nil outside the set.
-func compoundOp(op ctoken.Kind) func(a, b int64) int64 {
-	switch op {
-	case ctoken.OrAssign:
-		return func(a, b int64) int64 { return a | b }
-	case ctoken.AndAssign:
-		return func(a, b int64) int64 { return a & b }
-	case ctoken.XorAssign:
-		return func(a, b int64) int64 { return a ^ b }
-	case ctoken.ShlAssign:
-		return func(a, b int64) int64 { return a << uint(b&63) }
-	case ctoken.ShrAssign:
-		return func(a, b int64) int64 { return a >> uint(b&63) }
-	case ctoken.AddAssign:
-		return func(a, b int64) int64 { return a + b }
-	case ctoken.SubAssign:
-		return func(a, b int64) int64 { return a - b }
-	}
-	return nil
-}
-
-func badAssignOpErr(op ctoken.Kind) error {
-	return &kernel.CrashError{Cause: fmt.Errorf("bad assignment operator %s", op)}
+	return true
 }
 
 // predOf compiles a loop condition to a specialized bool predicate for
-// steady-state iterations, or nil when only the generic wrap applies.
-// Specializations are restricted to shapes whose coverage adds are the
-// same fixed lines every evaluation — all already in the covered set
-// after the first careful condition evaluation — so dropping them is
-// unobservable. Guards (macro declsReady/depth) and faults are
-// preserved inline.
-func (c *compiler) predOf(x cast.Expr) predFn {
-	switch x := x.(type) {
-	case *cast.IntLit:
-		t := x.Value != 0
-		return func(st *state, fr []Value) (bool, error) { return t, nil }
-
-	case *cast.Ident:
-		if ls, ok := c.lookupLocal(x.Name); ok {
-			slot := ls.idx
+// steady-state iterations, or nil when only the careful condition
+// closure applies. Specializations are restricted to shapes whose
+// coverage adds are the same fixed lines every evaluation — all already
+// in the covered set after the first careful condition evaluation — so
+// dropping them is unobservable. A failing macro guard evaluates the
+// careful closure instead, whose coverage adds and faults are exact.
+func (c *compiler) predOf(x cast.Expr, careful exprFn) predFn {
+	if b, ok := x.(*cast.BinaryExpr); ok {
+		if f := intBinOp(b.Op); f != nil {
+			xo, xok := c.inlineOperand(b.X)
+			yo, yok := c.inlineOperand(b.Y)
+			if xok && yok {
+				// The `t < TIMEOUT` shape: both operands read inline.
+				return func(st *state, fr []Value) (bool, error) {
+					a, aok := xo.read(st, fr)
+					b, bok := yo.read(st, fr)
+					if !aok || !bok {
+						return truthy(careful(st, fr))
+					}
+					return f(a, b) != 0, nil
+				}
+			}
+			// The `w < (len + 1) / 2` shape: pure operand evaluators.
+			xp, yp := c.pureIntOf(b.X), c.pureIntOf(b.Y)
+			if xp == nil || yp == nil {
+				return nil
+			}
 			return func(st *state, fr []Value) (bool, error) {
-				return fr[slot].Truthy(), nil
+				a, aok := xp(st, fr)
+				b, bok := yp(st, fr)
+				if !aok || !bok {
+					return truthy(careful(st, fr))
+				}
+				return f(a, b) != 0, nil
 			}
 		}
+	}
+	p := c.pureIntOf(x)
+	if p == nil {
+		return nil
+	}
+	return func(st *state, fr []Value) (bool, error) {
+		v, ok := p(st, fr)
+		if !ok {
+			return truthy(careful(st, fr))
+		}
+		return v != 0, nil
+	}
+}
 
+// pureIntOf compiles an expression into an error-free inline evaluator,
+// or nil when it cannot: fused operands (locals, literals, constant
+// macros) and pure integer arithmetic, comparison and `!` over them
+// qualify. Division and modulo are admitted only by a positive literal
+// divisor (matching applyBin without its divide-by-zero fault); globals
+// and calls never qualify (mutation, side effects). ok is false when a
+// constant macro's guard fails. Every coverage line in a qualifying
+// subtree is fixed at compile time, so the first careful evaluation of
+// the enclosing condition covers them all.
+func (c *compiler) pureIntOf(x cast.Expr) func(st *state, fr []Value) (int64, bool) {
+	if o, ok := c.inlineOperand(x); ok {
+		return func(st *state, fr []Value) (int64, bool) { return o.read(st, fr) }
+	}
+	switch x := x.(type) {
 	case *cast.UnaryExpr:
-		if x.Op == ctoken.Not {
-			if inner := c.predOf(x.X); inner != nil {
-				return func(st *state, fr []Value) (bool, error) {
-					ok, err := inner(st, fr)
-					if err != nil {
-						return false, err
-					}
-					return !ok, nil
-				}
+		if x.Op != ctoken.Not {
+			return nil
+		}
+		if inner := c.pureIntOf(x.X); inner != nil {
+			return func(st *state, fr []Value) (int64, bool) {
+				v, ok := inner(st, fr)
+				return b2i(v == 0), ok
 			}
 		}
 
 	case *cast.BinaryExpr:
 		f := intBinOp(x.Op)
-		if f == nil {
-			return nil
-		}
-		xo, xok := c.inlineOperand(x.X)
-		yo, yok := c.inlineOperand(x.Y)
-		if xok && yok {
-			return func(st *state, fr []Value) (bool, error) {
-				a, b := xo.v, yo.v
-				if xo.slot >= 0 {
-					a = fr[xo.slot].I
-				} else if xo.guarded && (xo.ord >= st.declsReady || st.depth >= maxCallDepth) {
-					var err error
-					if a, err = evalFused(st, fr, &xo); err != nil {
-						return false, err
-					}
-				}
-				if yo.slot >= 0 {
-					b = fr[yo.slot].I
-				} else if yo.guarded && (yo.ord >= st.declsReady || st.depth >= maxCallDepth) {
-					var err error
-					if b, err = evalFused(st, fr, &yo); err != nil {
-						return false, err
-					}
-				}
-				return f(a, b) != 0, nil
-			}
-		}
-		// One or both operands are arithmetic over locals and literals
-		// (`w < (len + 1) / 2`): evaluate them with error-free pure
-		// evaluators. The general binary machinery's coverage adds in
-		// such a subtree are all fixed lines, covered by the first
-		// careful condition evaluation.
-		xp, yp := c.pureIntOf(x.X), c.pureIntOf(x.Y)
-		if xp != nil && yp != nil {
-			return func(st *state, fr []Value) (bool, error) {
-				return f(xp(fr), yp(fr)) != 0, nil
-			}
-		}
-		if xp != nil && yok {
-			return func(st *state, fr []Value) (bool, error) {
-				b := yo.v
-				if yo.slot >= 0 {
-					b = fr[yo.slot].I
-				} else if yo.guarded && (yo.ord >= st.declsReady || st.depth >= maxCallDepth) {
-					var err error
-					if b, err = evalFused(st, fr, &yo); err != nil {
-						return false, err
-					}
-				}
-				return f(xp(fr), b) != 0, nil
-			}
-		}
-		if yp != nil && xok {
-			return func(st *state, fr []Value) (bool, error) {
-				a := xo.v
-				if xo.slot >= 0 {
-					a = fr[xo.slot].I
-				} else if xo.guarded && (xo.ord >= st.declsReady || st.depth >= maxCallDepth) {
-					var err error
-					if a, err = evalFused(st, fr, &xo); err != nil {
-						return false, err
-					}
-				}
-				return f(a, yp(fr)) != 0, nil
-			}
-		}
-	}
-	return nil
-}
-
-// pureIntOf compiles an expression into an error-free int evaluator,
-// or nil when it cannot: only integer literals, local reads and pure
-// arithmetic qualify. Division and modulo are admitted only by a
-// positive literal divisor (matching applyBin without its
-// divide-by-zero fault); macros, globals and calls never qualify
-// (guards, mutation, side effects). Every coverage line in a qualifying
-// subtree is fixed at compile time, so the first careful evaluation of
-// the enclosing condition covers them all.
-func (c *compiler) pureIntOf(x cast.Expr) func(fr []Value) int64 {
-	switch x := x.(type) {
-	case *cast.IntLit:
-		v := x.Value
-		return func(fr []Value) int64 { return v }
-
-	case *cast.Ident:
-		if ls, ok := c.lookupLocal(x.Name); ok {
-			slot := ls.idx
-			return func(fr []Value) int64 { return fr[slot].I }
-		}
-
-	case *cast.BinaryExpr:
-		var f func(a, b int64) int64
 		if x.Op == ctoken.Div || x.Op == ctoken.Mod {
-			lit, ok := x.Y.(*cast.IntLit)
-			if !ok || lit.Value <= 0 {
+			if lit, ok := x.Y.(*cast.IntLit); !ok || lit.Value <= 0 {
 				return nil
 			}
+			f = func(a, b int64) int64 { return a / b }
 			if x.Op == ctoken.Mod {
 				f = func(a, b int64) int64 { return a % b }
-			} else {
-				f = func(a, b int64) int64 { return a / b }
 			}
-		} else {
-			f = intBinOp(x.Op)
 		}
 		if f == nil {
 			return nil
 		}
-		xf := c.pureIntOf(x.X)
-		if xf == nil {
+		xf, yf := c.pureIntOf(x.X), c.pureIntOf(x.Y)
+		if xf == nil || yf == nil {
 			return nil
 		}
-		yf := c.pureIntOf(x.Y)
-		if yf == nil {
-			return nil
+		return func(st *state, fr []Value) (int64, bool) {
+			a, aok := xf(st, fr)
+			b, bok := yf(st, fr)
+			return f(a, b), aok && bok
 		}
-		return func(fr []Value) int64 { return f(xf(fr), yf(fr)) }
 	}
 	return nil
 }
 
-// genericPred wraps the careful condition closure: full coverage adds
-// and side effects (port reads in poll conditions), just the Value
-// boxing stripped at the call site.
-func genericPred(f exprFn) predFn {
-	return func(st *state, fr []Value) (bool, error) {
-		v, err := f(st, fr)
-		if err != nil {
-			return false, err
-		}
-		return v.Truthy(), nil
-	}
-}
+// truthy is a careful condition evaluation's result as a bool.
+func truthy(v Value, err error) (bool, error) { return err == nil && v.Truthy(), err }
 
-// superSeg is one per-iteration unit of a superblock body: either a
-// maximal run of simple statements (run non-nil) or one control-flow
-// statement. Each segment costs exactly one watchdog charge, as in seq.
+// superSeg is one per-iteration unit of a superblock body: a maximal
+// run of simple statements, or one control statement's line and body.
+// Each segment costs exactly one watchdog charge, as in seq.
 type superSeg struct {
-	run        []leanFn // lean cores, statement-line adds dropped
-	runCareful []leanFn // cov-adding twins for careful iterations
-	ctl        stmtFn   // lean control form (flattened if)
-	ctlCareful stmtFn   // careful form (adds the statement line)
+	run  run
+	line int
+	ctl  stmtFn // nil for a run
 }
 
 // superBlock is a compiled superblock loop body.
@@ -526,8 +198,7 @@ type superBlock struct {
 	headN int64
 }
 
-// superBodyOf compiles an eligible loop body, sharing frame slots and
-// sub-expression closures between the careful and lean forms.
+// superBodyOf compiles an eligible loop body into segments.
 func (c *compiler) superBodyOf(body cast.Stmt) *superBlock {
 	sb := &superBlock{blockLine: -1}
 	stmts := []cast.Stmt{body}
@@ -537,34 +208,28 @@ func (c *compiler) superBodyOf(body cast.Stmt) *superBlock {
 		defer c.popScope()
 		stmts = b.Stmts
 	}
-	var run, runCareful []leanFn
+	var r run
 	flush := func() {
-		if len(run) == 0 {
+		if len(r.cores) == 0 {
 			return
 		}
 		if sb.blockLine >= 0 {
 			// Count the fused run like seq would.
 			c.stats.Blocks++
-			c.stats.FusedStmts += int64(len(run))
+			c.stats.FusedStmts += int64(len(r.cores))
 		}
-		c.stats.SuperStmts += int64(len(run))
-		sb.segs = append(sb.segs, superSeg{run: run, runCareful: runCareful})
-		run, runCareful = nil, nil
+		c.stats.SuperStmts += int64(len(r.cores))
+		sb.segs = append(sb.segs, superSeg{run: r})
+		r = run{}
 	}
 	for _, s := range stmts {
-		if superSimple(s) {
-			line, core := c.leanCore(s)
-			run = append(run, core)
-			l, f := line, core
-			runCareful = append(runCareful, func(st *state, fr []Value) error {
-				st.cov.Add(l)
-				return f(st, fr)
-			})
+		line, core, body := c.lower(s)
+		if core != nil {
+			r.add(line, core)
 			continue
 		}
 		flush()
-		careful, lean := c.ctlSeg(s)
-		sb.segs = append(sb.segs, superSeg{ctl: lean, ctlCareful: careful})
+		sb.segs = append(sb.segs, superSeg{line: line, ctl: body})
 	}
 	flush()
 	sb.headN = 1
@@ -574,50 +239,7 @@ func (c *compiler) superBodyOf(body cast.Stmt) *superBlock {
 	return sb
 }
 
-// ctlSeg compiles one control statement into its careful and lean
-// segment forms. An if statement flattens: the lean form drops only the
-// statement-line coverage add and the per-iteration closure hop; its
-// condition closure and branch statements are the standard compiled
-// forms (branches are the cold loop-exit path and keep their own
-// charges). Every other control kind reuses its stmtBody closure as-is
-// — self-covering and exact — in both modes.
-func (c *compiler) ctlSeg(s cast.Stmt) (careful, lean stmtFn) {
-	ifs, ok := s.(*cast.IfStmt)
-	if !ok {
-		f := c.stmtBody(s)
-		return f, f
-	}
-	line := c.line(ifs.Pos())
-	prevDom := c.domLine
-	c.domLine = line
-	condFn := c.expr(ifs.Cond)
-	thenFn := c.stmt(ifs.Then)
-	var elseFn stmtFn
-	if ifs.Else != nil {
-		elseFn = c.stmt(ifs.Else)
-	}
-	c.domLine = prevDom
-	lean = func(st *state, fr []Value) (flow, Value, error) {
-		cond, err := condFn(st, fr)
-		if err != nil {
-			return flowNormal, voidValue, err
-		}
-		if cond.Truthy() {
-			return thenFn(st, fr)
-		}
-		if elseFn != nil {
-			return elseFn(st, fr)
-		}
-		return flowNormal, voidValue, nil
-	}
-	careful = func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
-		return lean(st, fr)
-	}
-	return careful, lean
-}
-
-// carefulIter runs one iteration of the body with the PR-9 block form's
+// carefulIter runs one iteration of the body with the block form's
 // exact sequential charges and coverage adds. The returned flow is the
 // loop-level outcome (flowNormal proceeds to post/end, flowContinue
 // already folded into it); done reports that every segment completed,
@@ -636,15 +258,17 @@ func (sb *superBlock) carefulIter(st *state, fr []Value) (fl flow, v Value, done
 			}
 		}
 		s := &sb.segs[i]
-		if s.run != nil {
-			for _, f := range s.runCareful {
+		if s.ctl == nil {
+			for j, f := range s.run.cores {
+				st.cov.Add(s.run.lines[j])
 				if err := f(st, fr); err != nil {
 					return flowNormal, voidValue, false, err
 				}
 			}
 			continue
 		}
-		fl, v, err := s.ctlCareful(st, fr)
+		st.cov.Add(s.line)
+		fl, v, err := s.ctl(st, fr)
 		if err != nil {
 			return flowNormal, voidValue, false, err
 		}
@@ -661,7 +285,8 @@ func (sb *superBlock) carefulIter(st *state, fr []Value) (fl flow, v Value, done
 }
 
 // leanIter runs one steady-state iteration: the head charges batched
-// into one StepN, lean segment forms, redundant coverage adds dropped.
+// into one StepN, the same segments with their statement-line adds
+// dropped.
 func (sb *superBlock) leanIter(st *state, fr []Value, head int64) (flow, Value, error) {
 	if err := st.kern.StepN(head); err != nil {
 		return flowNormal, voidValue, err
@@ -673,8 +298,8 @@ func (sb *superBlock) leanIter(st *state, fr []Value, head int64) (flow, Value, 
 			}
 		}
 		s := &sb.segs[i]
-		if s.run != nil {
-			for _, f := range s.run {
+		if s.ctl == nil {
+			for _, f := range s.run.cores {
 				if err := f(st, fr); err != nil {
 					return flowNormal, voidValue, err
 				}
@@ -695,119 +320,41 @@ func (sb *superBlock) leanIter(st *state, fr []Value, head int64) (flow, Value, 
 	return flowNormal, voidValue, nil
 }
 
-// whileSuper compiles an eligible while loop to a superblock closure.
-// The caller has checked eligibility; line is the loop statement's line.
-func (c *compiler) whileSuper(s *cast.WhileStmt, line int) stmtFn {
-	condFn := c.expr(s.Cond)
-	pred := c.predOf(s.Cond)
-	if pred == nil {
-		pred = genericPred(condFn)
-	}
-	sb := c.superBodyOf(s.Body)
-	c.stats.Superblocks++
-	head := sb.headN
-	endCharge := len(sb.segs) > 0
-	if !endCharge {
-		head++ // fold the end charge: nothing runs between the charges
-	}
-	return func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
-		// The first condition evaluation is always the careful closure;
-		// it covers every fixed line a specialized pred may skip.
-		cond, err := condFn(st, fr)
-		if err != nil {
-			return flowNormal, voidValue, err
-		}
-		ok := cond.Truthy()
-		careful := true
-		for ok {
-			var fl flow
-			var v Value
-			if careful {
-				var done bool
-				fl, v, done, err = sb.carefulIter(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					return flowNormal, voidValue, nil
-				}
-				if fl == flowReturn {
-					return flowReturn, v, nil
-				}
-				if err := st.kern.Step(); err != nil { // end-of-iteration charge
-					return flowNormal, voidValue, err
-				}
-				careful = !done
-			} else {
-				fl, v, err = sb.leanIter(st, fr, head)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					return flowNormal, voidValue, nil
-				}
-				if fl == flowReturn {
-					return flowReturn, v, nil
-				}
-				if endCharge {
-					if err := st.kern.Step(); err != nil { // end-of-iteration charge
-						return flowNormal, voidValue, err
-					}
-				}
-			}
-			ok, err = pred(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-		}
-		return flowNormal, voidValue, nil
-	}
-}
-
-// forSuper compiles an eligible for loop to a superblock closure. The
-// init statement runs once through the careful machinery; cond, body
-// and post get the while treatment, with the post's
-// charge/post/charge tail batched when the post is a pure local update.
-func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
-	c.pushScope() // the init declaration's scope, as in the interpreter
-	var initFn stmtFn
-	if s.Init != nil {
-		initFn = c.stmt(s.Init)
-	}
-	var condFn exprFn
-	pred := predFn(func(st *state, fr []Value) (bool, error) { return true, nil })
-	if s.Cond != nil {
-		condFn = c.expr(s.Cond)
-		if p := c.predOf(s.Cond); p != nil {
-			pred = p
-		} else {
-			pred = genericPred(condFn)
+// superLoop compiles an eligible loop (see loop, which has compiled its
+// init and careful condition) to a superblock closure. The init runs
+// once in statement position; cond, body and post run inside the
+// closure, with the post's charge/post/charge tail batched when the
+// post is a pure local update.
+func (c *compiler) superLoop(initFn stmtFn, cond cast.Expr, condFn exprFn, post, body cast.Stmt) stmtFn {
+	pred := predFn(func(*state, []Value) (bool, error) { return true, nil })
+	if cond != nil {
+		if pred = c.predOf(cond, condFn); pred == nil {
+			// Full coverage adds and side effects (port reads in poll
+			// conditions), just the Value boxing stripped.
+			pred = func(st *state, fr []Value) (bool, error) { return truthy(condFn(st, fr)) }
 		}
 	}
-	sb := c.superBodyOf(s.Body)
-	var postCore leanFn
+	sb := c.superBodyOf(body)
 	postLine := -1
+	var postCore coreFn
 	purePost := false
-	if s.Post != nil {
-		postLine, postCore = c.leanCore(s.Post)
+	if post != nil {
+		postLine, postCore, _ = c.lower(post)
 		// A post that increments a local slot touches no device, kernel
 		// or coverage state, so it commutes with its surrounding watchdog
 		// charges and the post + end charges batch into one StepN after
 		// it. Anything else keeps sequential charges.
-		if id, ok := s.Post.(*cast.IncDecStmt); ok {
+		if id, ok := post.(*cast.IncDecStmt); ok {
 			_, purePost = c.lookupLocal(id.X.Name)
 		}
 		c.stats.SuperStmts++
 	}
-	c.popScope()
 	c.stats.Superblocks++
 	head := sb.headN
 	if len(sb.segs) == 0 && postCore == nil {
 		head++ // fold the end charge: nothing runs between the charges
 	}
 	return func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
 		if initFn != nil {
 			if fl, v, err := initFn(st, fr); err != nil || fl != flowNormal {
 				return fl, v, err
@@ -815,7 +362,8 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 		}
 		ok := true
 		if condFn != nil {
-			// First evaluation careful, as in whileSuper.
+			// The first condition evaluation is always the careful closure;
+			// it covers every fixed line a specialized pred may skip.
 			cond, err := condFn(st, fr)
 			if err != nil {
 				return flowNormal, voidValue, err
@@ -837,8 +385,8 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 					return flowReturn, v, nil
 				}
 				if postCore != nil {
-					// Sequential post: charge, cover, update, as the block
-					// form's chargeWrap(post) would.
+					// Sequential post: charge, cover, update, as the post
+					// in statement position would.
 					if err := st.kern.Step(); err != nil {
 						return flowNormal, voidValue, err
 					}

@@ -8,9 +8,9 @@ import (
 )
 
 // Loop-superblock edge cases: every control-flow shape that can break a
-// fused loop out of its lean fast path must stay byte-identical — value,
-// console, coverage and step count — across the interpreter, the
-// per-statement backend and the block backend. runBoth enforces all four.
+// fused loop out of its lean fast path must stay byte-identical across
+// the interpreter and the block backend. runBoth enforces all four
+// observables: value, console, coverage and step count.
 
 func intArg(v int64) cinterp.Value { return cinterp.Value{Kind: cinterp.ValInt, I: v} }
 

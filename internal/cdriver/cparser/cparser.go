@@ -298,11 +298,11 @@ func (p *parser) parseStmt() cast.Stmt {
 		p.expect(ctoken.LParen)
 		cond := p.parseExpr()
 		p.expect(ctoken.RParen)
-		body := p.parseStmt()
+		body := p.parseBody()
 		return &cast.WhileStmt{WhilePos: t.Pos, Cond: cond, Body: body}
 	case t.Kind == ctoken.KwDo:
 		p.next()
-		body := p.parseStmt()
+		body := p.parseBody()
 		p.expect(ctoken.KwWhile)
 		p.expect(ctoken.LParen)
 		cond := p.parseExpr()
@@ -392,10 +392,10 @@ func (p *parser) parseIf() cast.Stmt {
 	p.expect(ctoken.LParen)
 	cond := p.parseExpr()
 	p.expect(ctoken.RParen)
-	then := p.parseStmt()
+	then := p.parseBody()
 	var els cast.Stmt
 	if _, ok := p.accept(ctoken.KwElse); ok {
-		els = p.parseStmt()
+		els = p.parseBody()
 	}
 	return &cast.IfStmt{IfPos: kw.Pos, Cond: cond, Then: then, Else: els}
 }
@@ -427,8 +427,19 @@ func (p *parser) parseFor() cast.Stmt {
 		f.Post = p.parseSimpleStmt(false)
 	}
 	p.expect(ctoken.RParen)
-	f.Body = p.parseStmt()
+	f.Body = p.parseBody()
 	return f
+}
+
+// parseBody parses the statement of an if, else, while, do or for. An
+// empty statement (a lone `;`) becomes an empty block, so no statement
+// position of the tree holds nil: it executes like `{}`.
+func (p *parser) parseBody() cast.Stmt {
+	pos := p.cur().Pos
+	if s := p.parseStmt(); s != nil {
+		return s
+	}
+	return &cast.Block{LBrace: pos}
 }
 
 func (p *parser) parseSwitch() cast.Stmt {

@@ -185,3 +185,24 @@ int fine(void) { return 1; }
 		t.Error("parser did not recover to the next function")
 	}
 }
+
+// TestEmptyStatementBodies: a lone `;` as the body of an if, else,
+// while, do or for parses to an empty block, never to a nil statement
+// the backends would have to special-case.
+func TestEmptyStatementBodies(t *testing.T) {
+	prog := mustParse(t, `int f(int x) {
+	if (x) ; else ;
+	while (x) ;
+	do ; while (x);
+	for (;;) ;
+	return 0;
+}`)
+	body := prog.Decls[0].(*cast.FuncDecl).Body.Stmts
+	ifs := body[0].(*cast.IfStmt)
+	for i, s := range []cast.Stmt{ifs.Then, ifs.Else, body[1].(*cast.WhileStmt).Body,
+		body[2].(*cast.DoWhileStmt).Body, body[3].(*cast.ForStmt).Body} {
+		if b, ok := s.(*cast.Block); !ok || len(b.Stmts) != 0 {
+			t.Errorf("body %d = %#v, want an empty block", i, s)
+		}
+	}
+}
