@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/fleet"
+	"repro/internal/cdriver/cast"
+	"repro/internal/cdriver/cparser"
 	"repro/internal/cdriver/ctoken"
 	"repro/internal/drivers"
 )
@@ -372,5 +374,39 @@ func TestEnumerationHasNoDuplicateStreams(t *testing.T) {
 	}
 	if total != 38203 {
 		t.Errorf("corpus enumerates %d mutants, want 38203", total)
+	}
+}
+
+// TestDriversDeclareNoGlobals pins the premise that every boot's prefix
+// is cheap: no embedded driver declares a global variable, so Init runs
+// no initialiser, charges no step and touches no device. It only sets
+// the declaration-visibility watermark, and the machine Init hands to
+// the boot script is the one Reset produced. A driver that adds globals
+// still boots correctly, because Init runs them on every boot; but
+// whoever adds them should re-measure the prefix before adding a
+// prefix cache back.
+func TestDriversDeclareNoGlobals(t *testing.T) {
+	wl := NewWorkload().(*workload)
+	for _, driver := range drivers.Names() {
+		p, err := wl.plan(driver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, errs := cparser.ParseTokens(p.res.Tokens)
+		if len(errs) > 0 {
+			t.Fatalf("%s: pristine parse: %v", driver, errs[0])
+		}
+		funcs := 0
+		for _, d := range prog.Decls {
+			switch d := d.(type) {
+			case *cast.VarDecl:
+				t.Errorf("%s: global %s declared", driver, d.Name)
+			case *cast.FuncDecl:
+				funcs++
+			}
+		}
+		if funcs == 0 {
+			t.Errorf("%s: pristine program declares no functions", driver)
+		}
 	}
 }

@@ -131,3 +131,89 @@ func TestLegacyCompiledStoreResumes(t *testing.T) {
 		}
 	}
 }
+
+// snapshotSpecLines are spec records that carry the retired snapshot
+// knob. The "off" line is, byte for byte, what `campaign run -snapshot
+// off` wrote; the CLI normalized "on" away, so the "on" line is that
+// record with the knob spelled out, which the store format accepted. The
+// knob was excluded from the fingerprint, so both carry the fingerprint
+// of the same spec without it.
+var snapshotSpecLines = map[string]string{
+	"off": `{"kind":"spec","fingerprint":"dfaa90282bdc6824","spec":{"name":"legacy",` +
+		`"drivers":["busmouse_c","busmouse_devil"],"sample_pct":10,"seed":7,"shards":1,` +
+		`"snapshot":"off"},"mutant":0,"site":0,"shard":0}`,
+	"on": `{"kind":"spec","fingerprint":"dfaa90282bdc6824","spec":{"name":"legacy",` +
+		`"drivers":["busmouse_c","busmouse_devil"],"sample_pct":10,"seed":7,"shards":1,` +
+		`"snapshot":"on"},"mutant":0,"site":0,"shard":0}`,
+}
+
+// TestLegacySnapshotStoreResumes: a store whose spec record carries the
+// retired snapshot knob still reads, keeps its fingerprint, aggregates to
+// the tables of a fresh run of the same spec and resumes without booting
+// what it holds.
+func TestLegacySnapshotStoreResumes(t *testing.T) {
+	const fingerprint = "dfaa90282bdc6824"
+	spec := campaign.Spec{Name: "legacy", Drivers: []string{"busmouse_c", "busmouse_devil"},
+		SamplePct: 10, Seed: 7}
+	if got := spec.Fingerprint(); got != fingerprint {
+		t.Fatalf("spec fingerprints as %s, snapshot-era stores carry %s", got, fingerprint)
+	}
+	ref := campaign.NewMemStore()
+	if _, err := campaign.Run(spec, NewWorkload(), ref, campaign.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	wantT, wantO, err := campaign.Aggregate(ref.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tail []byte
+	for _, r := range ref.Records()[1:] {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail = append(append(tail, b...), '\n')
+	}
+
+	for knob, line := range snapshotSpecLines {
+		t.Run(knob, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "snapshot.jsonl")
+			data := append([]byte(line+"\n"), tail...)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := campaign.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored := recs[0]
+			if got := stored.Spec.Fingerprint(); got != fingerprint || stored.Fingerprint != fingerprint {
+				t.Errorf("stored spec fingerprints as %s (record says %s), want %s",
+					got, stored.Fingerprint, fingerprint)
+			}
+			gotT, gotO, err := campaign.Aggregate(recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotT, wantT) || !reflect.DeepEqual(gotO, wantO) {
+				t.Error("snapshot-era store aggregates to different tables than a fresh run")
+			}
+
+			st, err := campaign.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := campaign.Run(*stored.Spec, NewWorkload(), st, campaign.Options{Workers: 1})
+			st.Close()
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if sum.Ran != 0 || sum.Skipped != sum.Total {
+				t.Errorf("complete store resumed with %+v, want nothing booted", sum)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Error("resuming a complete store rewrote it")
+			}
+		})
+	}
+}
