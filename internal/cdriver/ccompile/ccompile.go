@@ -92,6 +92,8 @@ type state struct {
 	// the declaration being initialised, reproducing the interpreter's
 	// incremental global/macro visibility at insmod time.
 	declsReady int
+	// quietSkipped counts the steps quiet loops fast-forwarded this boot.
+	quietSkipped int64
 }
 
 // exprFn evaluates one compiled expression.
@@ -141,6 +143,11 @@ type Proc struct {
 
 // Stats reports what the block-fusion pass produced for this program.
 func (p *Proc) Stats() BlockStats { return p.stats }
+
+// QuietSkippedSteps reports how many of this boot's watchdog steps the
+// quiescence fast-forward applied in batches instead of executing (see
+// quiet.go). The step count itself is identical either way.
+func (p *Proc) QuietSkippedSteps() int64 { return p.st.quietSkipped }
 
 // initStep is one global-variable initialisation.
 type initStep struct {

@@ -17,7 +17,8 @@ import (
 	"repro/internal/kernel"
 )
 
-// rig is one freshly assembled plain-C execution context.
+// rig is one freshly assembled plain-C execution context: a floating
+// bus with a countdown device at countdownPort.
 type rig struct {
 	kern *kernel.Kernel
 	bus  *hw.Bus
@@ -26,7 +27,62 @@ type rig struct {
 func newRig() *rig {
 	bus := hw.NewBus()
 	bus.SetFloating(true)
-	return &rig{kern: kernel.New(&hw.Clock{}), bus: bus}
+	clock := &hw.Clock{}
+	if err := bus.Map(countdownPort, 2, &countdown{clock: clock}); err != nil {
+		panic(err)
+	}
+	return &rig{kern: kernel.New(clock), bus: bus}
+}
+
+// countdownPort is where newRig maps its countdown device.
+const countdownPort = 0x100
+
+// countdown is a test device that gives quiet poll loops finite
+// windows. A write to offset 0 arms a deadline value ticks ahead; a read
+// of offset 0 returns the ticks left over 64, which changes every 64
+// ticks and is 0 from the deadline on. Offset 1 counts its own reads,
+// so it never answers the Stable query.
+type countdown struct {
+	clock    *hw.Clock
+	deadline uint64
+	reads    uint32
+}
+
+func (d *countdown) Name() string { return "countdown" }
+
+func (d *countdown) left() uint64 {
+	if now := d.clock.Now(); now < d.deadline {
+		return d.deadline - now
+	}
+	return 0
+}
+
+func (d *countdown) Read(off hw.Port, w hw.AccessWidth) (uint32, error) {
+	if off == 1 {
+		d.reads++
+		return d.reads, nil
+	}
+	return uint32(d.left() >> 6), nil
+}
+
+func (d *countdown) Write(off hw.Port, w hw.AccessWidth, v uint32) error {
+	if off == 0 {
+		d.deadline = d.clock.Now() + uint64(v)
+	}
+	return nil
+}
+
+// StableUntil implements hw.Stable: the value next drops when the ticks
+// left fall below its current multiple of 64.
+func (d *countdown) StableUntil(off hw.Port, w hw.AccessWidth, now uint64) (uint64, bool) {
+	if off == 1 {
+		return 0, false
+	}
+	v := d.left() >> 6
+	if v == 0 {
+		return hw.Forever, true
+	}
+	return d.deadline - v<<6 + 1, true
 }
 
 // outcome captures everything observable about one call on one backend.
@@ -36,6 +92,8 @@ type outcome struct {
 	console []string
 	cov     *ccov.Set
 	steps   int64
+	// skipped is the block backend's fast-forwarded step count.
+	skipped int64
 }
 
 // runBoth executes fn on the interpreter and the block backend and
@@ -106,12 +164,19 @@ func compareBackends(t *testing.T, prog *cast.Program, env *ctypes.Env, budget i
 	if is, cs := interpRig.kern.Steps(), compRig.kern.Steps(); is != cs {
 		t.Fatalf("step divergence: interp=%d compiled=%d", is, cs)
 	}
+	if it, ct := interpRig.kern.Clock().Now(), compRig.kern.Clock().Now(); it != ct {
+		t.Fatalf("clock divergence: interp=%d compiled=%d", it, ct)
+	}
+	ia, _ := interpRig.bus.Stats()
+	if ca, _ := compRig.bus.Stats(); ia != ca {
+		t.Fatalf("bus access divergence: interp=%d compiled=%d", ia, ca)
+	}
 	var errText string
 	if ie != nil {
 		errText = ie.Error()
 	}
 	return outcome{val: cv, errText: errText, console: compRig.kern.Console(),
-		cov: p.Coverage(), steps: compRig.kern.Steps()}
+		cov: p.Coverage(), steps: compRig.kern.Steps(), skipped: p.QuietSkippedSteps()}
 }
 
 func callInt(t *testing.T, src, fn string, args ...cinterp.Value) int64 {

@@ -107,9 +107,11 @@ int f(int n) {
 // comparison must hold: errors, value, console, covered lines and step
 // count. Programs the compiler rejects (ErrUnsupported) run on the
 // interpreter alone in production and are skipped. The seeds are every
-// source in ccompile_test.go and superblock_test.go plus loweringSeeds.
+// source in ccompile_test.go, superblock_test.go and quiet_test.go plus
+// loweringSeeds; newRig's countdown device gives the quiet poll loops
+// among them finite fast-forward windows.
 func FuzzCompileMatchesInterp(f *testing.F) {
-	for _, src := range testSources(f, "ccompile_test.go", "superblock_test.go") {
+	for _, src := range testSources(f, "ccompile_test.go", "superblock_test.go", "quiet_test.go") {
 		f.Add(src, int64(7))
 	}
 	for _, src := range loweringSeeds {

@@ -278,5 +278,6 @@ func (p *Proc) resetRun() {
 	p.st.sp = 0
 	p.st.depth = 0
 	p.st.declsReady = 0
+	p.st.quietSkipped = 0
 	p.inited = false
 }

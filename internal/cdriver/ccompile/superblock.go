@@ -36,7 +36,9 @@ import (
 // boots land on exactly budget+1 steps, and a failing batched charge
 // skips the statements it dominates exactly as the sequential charges
 // would. Loops with a direct jump in the body, and do/while loops, run
-// on the plain loop driver.
+// on the plain loop driver. Lean iterations of a quiet poll loop may
+// also fast-forward over iterations that would re-read unchanging
+// ports (quiet.go).
 
 // predFn evaluates a loop condition to a bare bool.
 type predFn func(st *state, fr []Value) (bool, error)
@@ -350,6 +352,7 @@ func (c *compiler) superLoop(initFn stmtFn, cond cast.Expr, condFn exprFn, post,
 		c.stats.SuperStmts++
 	}
 	c.stats.Superblocks++
+	quiet := c.quietOf(cond, post, body)
 	head := sb.headN
 	if len(sb.segs) == 0 && postCore == nil {
 		head++ // fold the end charge: nothing runs between the charges
@@ -371,8 +374,10 @@ func (c *compiler) superLoop(initFn stmtFn, cond cast.Expr, condFn exprFn, post,
 			ok = cond.Truthy()
 		}
 		careful := true
+		asking := quiet != nil // query read windows before lean iterations
 		for ok {
 			var err error
+			var w quietWindow
 			if careful {
 				fl, v, done, err := sb.carefulIter(st, fr)
 				if err != nil {
@@ -400,6 +405,9 @@ func (c *compiler) superLoop(initFn stmtFn, cond cast.Expr, condFn exprFn, post,
 				}
 				careful = !done
 			} else {
+				if asking {
+					w, asking = quiet.open(st, fr)
+				}
 				fl, v, err := sb.leanIter(st, fr, head)
 				if err != nil {
 					return flowNormal, voidValue, err
@@ -441,6 +449,11 @@ func (c *compiler) superLoop(initFn stmtFn, cond cast.Expr, condFn exprFn, post,
 			ok, err = pred(st, fr)
 			if err != nil {
 				return flowNormal, voidValue, err
+			}
+			if w.ok && ok {
+				if err := quiet.skip(st, fr, w); err != nil {
+					return flowNormal, voidValue, err
+				}
 			}
 		}
 		return flowNormal, voidValue, nil

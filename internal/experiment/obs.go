@@ -56,6 +56,10 @@ const (
 	// MetricSuperblockStmts counts statements folded into loop
 	// superblocks.
 	MetricSuperblockStmts = "driverlab_exec_superblocks_stmts_total"
+	// MetricQuietSkippedSteps counts the watchdog steps the block
+	// backend's quiescence fast-forward applied in one batch instead of
+	// executing them (quiet poll loops waiting on stable ports).
+	MetricQuietSkippedSteps = "driverlab_exec_quiet_skipped_steps_total"
 )
 
 // Retired metric names of the deleted pristine-prefix snapshot.
@@ -73,7 +77,7 @@ const (
 func BootMetricNames() []string {
 	return []string{MetricBootPhase, MetricInterpFallbacks, MetricFullFrontend,
 		MetricBlocksCompiled, MetricBlocksFusedStmts, MetricBlocksBatchedIO, MetricBlocksFallback,
-		MetricSuperblocksCompiled, MetricSuperblockStmts}
+		MetricSuperblocksCompiled, MetricSuperblockStmts, MetricQuietSkippedSteps}
 }
 
 // bootObs is the per-rig instrumentation bundle the boot pipeline
@@ -96,6 +100,7 @@ type bootObs struct {
 	blocksFallback  *obs.Counter
 	superblocks     *obs.Counter
 	superblockStmts *obs.Counter
+	quietSkipped    *obs.Counter
 }
 
 // addBlockStats records one compile's (or patch's) fusion work.
@@ -151,6 +156,9 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 			"workload", workload),
 		superblockStmts: col.Counter(MetricSuperblockStmts,
 			"Statements folded into loop superblocks.",
+			"workload", workload),
+		quietSkipped: col.Counter(MetricQuietSkippedSteps,
+			"Watchdog steps quiet poll loops fast-forwarded instead of executing.",
 			"workload", workload),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/cdriver/ccompile"
 	"repro/internal/cdriver/ccov"
 	"repro/internal/cdriver/cinterp"
 	"repro/internal/devil"
@@ -398,6 +399,9 @@ func (r *Rig) Boot(input BootInput) (*BootResult, error) {
 	te := o.execute.Start()
 	runErr, damaged := r.Desc.Run(r, ex, res)
 	te.Stop()
+	if p, ok := ex.(*ccompile.Proc); ok {
+		o.quietSkipped.Add(p.QuietSkippedSteps())
+	}
 	tc := o.classify.Start()
 	res.Console = r.Kern.ConsoleView()
 	res.Coverage = ex.Coverage()

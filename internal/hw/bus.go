@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -54,6 +55,26 @@ type Device interface {
 	Write(offset Port, width AccessWidth, value uint32) error
 }
 
+// Stable is the optional quiescence side of a Device. StableUntil
+// promises that, as long as no port of the device is written, a read of
+// the given width at offset at any clock tick in [now, until) returns
+// the value a read at now returns, and changes no device state. ok is
+// false when the read has a side effect (a data FIFO, a clear-on-read
+// tally) or the device cannot say. The promise lets the block backend
+// skip steady-state poll-loop iterations in O(1) instead of simulating
+// every re-read.
+//
+// A device that answers must also tick batch-invariantly: one
+// Clock.Tick(n) must leave it in the state n Tick(1) calls would, since
+// skipped iterations advance the clock in one batch.
+type Stable interface {
+	StableUntil(offset Port, width AccessWidth, now uint64) (until uint64, ok bool)
+}
+
+// Forever is the StableUntil answer of a read that no amount of time
+// alone changes.
+const Forever uint64 = math.MaxUint64
+
 // Access records one bus transaction, for the trace consumed by tests and by
 // the experiment harness (dead-code detection and damage forensics).
 type Access struct {
@@ -66,9 +87,10 @@ type Access struct {
 
 // mapping binds a device to its claimed range [base, base+size).
 type mapping struct {
-	base Port
-	size Port
-	dev  Device
+	base   Port
+	size   Port
+	dev    Device
+	stable Stable // dev's quiescence side, nil when it has none
 }
 
 // Bus is a port-mapped I/O space. The zero value is unusable; construct with
@@ -141,7 +163,8 @@ func (b *Bus) Map(base Port, size Port, dev Device) error {
 				m.dev.Name(), uint32(m.base), uint32(m.base+m.size-1))
 		}
 	}
-	b.mappings = append(b.mappings, mapping{base: base, size: size, dev: dev})
+	stable, _ := dev.(Stable)
+	b.mappings = append(b.mappings, mapping{base: base, size: size, dev: dev, stable: stable})
 	sort.Slice(b.mappings, func(i, j int) bool { return b.mappings[i].base < b.mappings[j].base })
 	b.last = nil // the append/sort may have moved every mapping
 	return nil
@@ -186,6 +209,36 @@ func (b *Bus) Stats() (accesses, faults uint64) {
 	defer b.mu.Unlock()
 	return b.accesses, b.faults
 }
+
+// Accesses reports the number of accesses so far without taking the
+// configuration lock: like Read and Write, it belongs to the goroutine
+// executing on the bus.
+func (b *Bus) Accesses() uint64 { return b.accesses }
+
+// StableUntil answers the Stable query for a read of port: the tick
+// before which the read keeps returning its current value without side
+// effects, provided nothing writes a port. A floating unmapped read is
+// stable forever; a faulting one, a device without a Stable side and
+// any read while an injector is armed or tracing is on are not stable
+// (ok false), since skipping them would lose faults or trace records.
+func (b *Bus) StableUntil(port Port, width AccessWidth, now uint64) (until uint64, ok bool) {
+	if b.inj != nil || b.tracing {
+		return 0, false
+	}
+	m := b.find(port)
+	if m == nil {
+		return Forever, b.floating
+	}
+	if m.stable == nil {
+		return 0, false
+	}
+	return m.stable.StableUntil(port-m.base, width, now)
+}
+
+// CountReads accounts for n reads a caller skipped under a StableUntil
+// promise: the reads leave no trace (tracing is off whenever the
+// promise holds) and cannot fault, so only the access count moves.
+func (b *Bus) CountReads(n uint64) { b.accesses += n }
 
 // find locates the mapping that covers port, or nil. The one-entry
 // cache makes the typical poll loop — thousands of reads of the same

@@ -135,7 +135,10 @@ type Controller struct {
 	resetting   bool
 }
 
-var _ hw.Device = (*Controller)(nil)
+var (
+	_ hw.Device = (*Controller)(nil)
+	_ hw.Stable = (*Controller)(nil)
+)
 
 // NewController attaches a controller with one master disk to the clock.
 func NewController(clock *hw.Clock, disk *Disk) *Controller {
@@ -409,6 +412,30 @@ func (c *Controller) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) 
 	return 0, fmt.Errorf("ide: read of nonexistent register %d", offset)
 }
 
+// quietUntil is the tick at which the task file next changes on its
+// own: the end of a pending busy phase. An asserted soft reset (busy
+// with nothing pending) waits for a write, like every other state.
+func (c *Controller) quietUntil() uint64 {
+	if c.state == stateBusy && c.pending != opNone {
+		return c.busyUntil
+	}
+	return hw.Forever
+}
+
+// StableUntil implements hw.Stable for the command block. Task-file
+// reads have no side effects; a data-port read consumes a word during
+// a PIO read phase and only floats otherwise.
+func (c *Controller) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	if offset > 7 {
+		return 0, false
+	}
+	if offset == 0 && width == hw.Width16 && !c.slaveSelected() &&
+		c.state == stateReadDRQ && c.status&StatusDataRequest != 0 {
+		return 0, false
+	}
+	return c.quietUntil(), true
+}
+
 // Write implements hw.Device for the command block.
 func (c *Controller) Write(offset hw.Port, width hw.AccessWidth, value uint32) error {
 	switch offset {
@@ -447,7 +474,10 @@ type controlBlock struct {
 	c *Controller
 }
 
-var _ hw.Device = (*controlBlock)(nil)
+var (
+	_ hw.Device = (*controlBlock)(nil)
+	_ hw.Stable = (*controlBlock)(nil)
+)
 
 // ControlBlock returns the device endpoint for the control block (alternate
 // status / device control at 0x3f6).
@@ -465,6 +495,15 @@ func (b *controlBlock) Read(offset hw.Port, width hw.AccessWidth) (uint32, error
 		return 0, nil
 	}
 	return uint32(b.c.status), nil
+}
+
+// StableUntil implements hw.Stable: the alternate status changes with
+// the task file's status.
+func (b *controlBlock) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	if offset != 0 {
+		return 0, false
+	}
+	return b.c.quietUntil(), true
 }
 
 // Write implements hw.Device: device control, including soft reset.

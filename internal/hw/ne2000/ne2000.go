@@ -102,6 +102,8 @@ var (
 	_ hw.Device = (*registers)(nil)
 	_ hw.Device = (*dataPort)(nil)
 	_ hw.Device = (*resetPort)(nil)
+	_ hw.Stable = (*registers)(nil)
+	_ hw.Stable = (*dataPort)(nil)
 )
 
 // Registers returns the 8390 register-file endpoint (16 ports).
@@ -148,6 +150,16 @@ func (r *registers) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	default:
 		return 0, nil // CLDA/CRDA and friends: not modelled, read as zero
 	}
+}
+
+// StableUntil implements hw.Stable: the NIC has no clock, so a register
+// only changes when a port is written — except the page-0 tally
+// counters, which clear on read.
+func (r *registers) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	if r.n.page() != 1 && offset >= 13 {
+		return 0, false
+	}
+	return hw.Forever, true
 }
 
 // Write implements hw.Device for the register file.
@@ -325,6 +337,15 @@ func (d *dataPort) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 		n.isr |= IsrRemoteDone
 	}
 	return v, nil
+}
+
+// StableUntil implements hw.Stable: a data-port read floats while no
+// remote read is programmed, and consumes a byte pair while one is.
+func (d *dataPort) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	if d.n.remoteOp() == 1 && d.n.rbcr != 0 {
+		return 0, false
+	}
+	return hw.Forever, true
 }
 
 // Write implements hw.Device: remote-DMA write.

@@ -76,7 +76,10 @@ type endpoint struct {
 	reg int // 0 = bmicx, 1 = bmisx, 2 = bmidtpx
 }
 
-var _ hw.Device = (*endpoint)(nil)
+var (
+	_ hw.Device = (*endpoint)(nil)
+	_ hw.Stable = (*endpoint)(nil)
+)
 
 // Command returns the BMICX endpoint.
 func (b *BusMaster) Command() hw.Device { return &endpoint{bm: b, reg: 0} }
@@ -112,6 +115,18 @@ func (e *endpoint) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	default:
 		return e.bm.bmidtpx, nil
 	}
+}
+
+// StableUntil implements hw.Stable: reads have no side effects, and
+// only BMISX changes on its own, when an active transfer completes.
+func (e *endpoint) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	if offset != 0 {
+		return 0, false
+	}
+	if e.reg == 1 && e.bm.bmisx&BMActive != 0 {
+		return e.bm.doneAt, true
+	}
+	return hw.Forever, true
 }
 
 // Write implements hw.Device.

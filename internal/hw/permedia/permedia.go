@@ -116,17 +116,42 @@ func (g *GPU) tick(now uint64) {
 		}
 	}
 	// Video timing: the line counter runs whenever video is enabled.
-	if g.regs[regVideoCtl]&0x01 != 0 {
-		vtotal := g.regs[regVTotal] & 0xfff
-		if vtotal == 0 {
-			vtotal = 1024 // a zero VTotal is bogus; free-run a full frame
-		}
+	if g.VideoEnabled() {
+		vtotal := g.frameLines()
 		line := g.regs[regLineCount] + uint32(elapsed%uint64(vtotal))
 		if line >= vtotal || elapsed >= uint64(vtotal) {
 			g.regs[regIntFlags] |= IntVRetrace
 		}
 		g.regs[regLineCount] = line % vtotal
 	}
+}
+
+// frameLines is the line count of one video frame.
+func (g *GPU) frameLines() uint32 {
+	if v := g.regs[regVTotal] & 0xfff; v != 0 {
+		return v
+	}
+	return 1024 // a zero VTotal is bogus; free-run a full frame
+}
+
+// flagsUntil is the tick at which tick next raises an interrupt flag
+// that is not already set: the DMA count reaching zero or the line
+// counter wrapping into vertical retrace. Times count from lastNow, the
+// tick the model last advanced to.
+func (g *GPU) flagsUntil() uint64 {
+	until := hw.Forever
+	flags := g.regs[regIntFlags]
+	if cnt := uint64(g.regs[regDMACount]); cnt > 0 && flags&IntDMA == 0 {
+		until = g.lastNow + (cnt+dmaTickRate-1)/dmaTickRate
+	}
+	if g.VideoEnabled() && flags&IntVRetrace == 0 {
+		wrap := uint64(1)
+		if v, line := g.frameLines(), g.regs[regLineCount]; line < v {
+			wrap = uint64(v - line)
+		}
+		until = min(until, g.lastNow+wrap)
+	}
+	return until
 }
 
 // Drained reports how many FIFO words the core has consumed.
@@ -165,6 +190,8 @@ type fifoPort struct{ g *GPU }
 var (
 	_ hw.Device = (*control)(nil)
 	_ hw.Device = (*fifoPort)(nil)
+	_ hw.Stable = (*control)(nil)
+	_ hw.Stable = (*fifoPort)(nil)
 )
 
 // Control returns the control-aperture endpoint (24 dword registers).
@@ -197,6 +224,38 @@ func (c *control) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	}
 }
 
+// StableUntil implements hw.Stable. Control reads have no side effects;
+// the registers tick changes hold until the reset phase ends, the next
+// FIFO word drains, the interrupt flags next rise (flagsUntil), and —
+// for the DMA count and line counter — the next tick while they run.
+func (c *control) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	g := c.g
+	if int(offset) >= numRegs {
+		return 0, false
+	}
+	switch int(offset) {
+	case regResetStatus:
+		if now < g.resetUntil {
+			return g.resetUntil, true
+		}
+	case regInFIFOSpace:
+		if len(g.fifo) > 0 {
+			return g.lastNow + fifoDrainTime - g.fifoCredit, true
+		}
+	case regIntFlags:
+		return g.flagsUntil(), true
+	case regDMACount:
+		if g.regs[regDMACount] > 0 {
+			return g.lastNow + 1, true
+		}
+	case regLineCount:
+		if g.VideoEnabled() {
+			return g.lastNow + 1, true
+		}
+	}
+	return hw.Forever, true
+}
+
 // Write implements hw.Device.
 func (c *control) Write(offset hw.Port, width hw.AccessWidth, value uint32) error {
 	g := c.g
@@ -226,6 +285,11 @@ func (f *fifoPort) Name() string { return "permedia2-fifo" }
 // Read implements hw.Device: the FIFO port is write-only; reads float.
 func (f *fifoPort) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	return 0xffffffff, nil
+}
+
+// StableUntil implements hw.Stable: reads of the FIFO port always float.
+func (f *fifoPort) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	return hw.Forever, true
 }
 
 // Write implements hw.Device: push a word into the GP input FIFO. An

@@ -55,7 +55,10 @@ type Device struct {
 	region Region
 }
 
-var _ hw.Device = (*Device)(nil)
+var (
+	_ hw.Device = (*Device)(nil)
+	_ hw.Stable = (*Device)(nil)
+)
 
 // Name implements hw.Device.
 func (d *Device) Name() string { return d.region.Name }
@@ -71,6 +74,11 @@ func (d *Device) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	default:
 		return 0xffffffff, nil
 	}
+}
+
+// StableUntil implements hw.Stable: the floating lines never change.
+func (d *Device) StableUntil(offset hw.Port, width hw.AccessWidth, now uint64) (uint64, bool) {
+	return hw.Forever, true
 }
 
 // Write implements hw.Device: a stray write reprograms a device the boot

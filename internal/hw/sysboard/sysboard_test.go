@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/hw/hwtest"
 	"repro/internal/hw/sysboard"
 )
 
@@ -47,5 +48,18 @@ func TestRegionsDoNotOverlapExpansionSpace(t *testing.T) {
 	bus := hw.NewBus()
 	if err := sysboard.MapAll(bus); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestStrayReadsStable(t *testing.T) {
+	bus := hw.NewBus()
+	if err := sysboard.MapAll(bus); err != nil {
+		t.Fatal(err)
+	}
+	clock := &hw.Clock{}
+	for _, r := range sysboard.Regions() {
+		if until := hwtest.CheckStable(t, bus, clock, r.Base, hw.Width8, 4); until != hw.Forever {
+			t.Errorf("%s window ends at %d, want forever", r.Name, until)
+		}
 	}
 }

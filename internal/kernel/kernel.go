@@ -89,6 +89,10 @@ func New(clock *hw.Clock) *Kernel {
 // SetBudget overrides the watchdog step budget (tests use small budgets).
 func (k *Kernel) SetBudget(n int64) { k.budget = n }
 
+// Budget returns the watchdog step budget: the boot trips on the step
+// that takes Steps past it.
+func (k *Kernel) Budget() int64 { return k.budget }
+
 // SetDeadline arms the wall-clock watchdog: the boot fails with a
 // DeadlineError once wall time passes limit from now. A zero limit
 // disarms it. Reset disarms it too, so reused kernels re-arm per boot.
